@@ -6,9 +6,8 @@
 //!
 //! * `==` on handles *is* structural equality (hash-consing gives each
 //!   shallow key exactly one id), replacing the `Rc::ptr_eq` fast paths;
-//! * terms cross threads freely — the parallel batch scheduler in
-//!   `ur-infer` ships elaborated declarations between workers directly,
-//!   with no per-worker re-interning and no portable mirror layer;
+//! * terms cross threads freely — the sessions of `ur-serve`'s worker
+//!   pool all intern into, and read from, the same arena;
 //! * memo tables can be shared process-wide, because a `ConId` means the
 //!   same term on every thread.
 //!
@@ -342,16 +341,6 @@ impl<T: ArenaVal> Store<T> {
             return compose(si, idx);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        // failpoint `intern_grow`: a simulated growth hiccup on the
-        // hash-cons map — force an immediate shrink-and-rehash before the
-        // insert. Semantically invisible (same entries, same ids), but it
-        // exercises the capacity-change path deterministically so the
-        // chaos harness can prove table growth never perturbs results.
-        if crate::failpoint::fire(crate::failpoint::Site::InternGrow) {
-            map.shrink_to_fit();
-            let len = map.len();
-            map.reserve(len + 64);
-        }
         let idx = shard.published.load(Ordering::Relaxed);
         debug_assert!(idx <= INDEX_MASK, "arena shard overflow");
         let (seg, off) = locate(idx);

@@ -1,68 +1,42 @@
 //! Deterministic fault injection ("failpoints").
 //!
-//! Production-grade recovery paths — the dead-worker fallback in the
-//! parallel scheduler, memo-entry integrity rejection, fuel-accounting
-//! audits — are unreachable from well-behaved inputs, so nothing in an
-//! ordinary test run ever executes them. This module provides *named
-//! fault sites* that the fragile layers consult, plus a seeded PRNG
-//! schedule deciding which consultations actually inject a fault:
+//! Production-grade recovery paths — integrity rejection of damaged
+//! incremental-cache entries, WAL truncation and checkpoint healing,
+//! serve-worker replacement — are unreachable from well-behaved inputs,
+//! so nothing in an ordinary test run ever executes them. This module
+//! provides *named fault sites* that the fragile layers consult, plus a
+//! seeded PRNG schedule deciding which consultations actually inject a
+//! fault:
 //!
-//! * **Named sites** ([`Site`]): worker spawn/execution/send/stall in
-//!   `ur-infer::batch`, memo-table load/store in [`crate::memo`],
-//!   intern-table growth in [`crate::intern`], fuel accounting in
-//!   [`crate::limits`], incremental-cache load/store in `ur-query`,
-//!   WAL append/sync/corrupt/rotate + snapshot write in `ur-db`'s
-//!   durability layer, and the `ur-serve` front door
+//! * **Named sites** ([`Site`]): incremental-cache load/store in
+//!   `ur-query`, WAL append/sync/corrupt/rotate + snapshot write in
+//!   `ur-db`'s durability layer, and the `ur-serve` front door
 //!   (accept/read/write/worker-wedge).
 //! * **Seeded activation**: each site draws from a splitmix64 stream
 //!   keyed by `(seed, site, hit index)`, so a given configuration
 //!   produces the same fault schedule on every run — chaos tests print
 //!   their seed and any failure reproduces from it.
 //! * **Bounded chaos**: `max_per_site` caps how many times each site
-//!   fires. The self-healing layers retry a bounded number of times, so
-//!   capping the faults below the retry budget guarantees convergence to
-//!   the clean result (see `docs/ROBUSTNESS.md`).
+//!   fires, so a healing layer that retries a bounded number of times
+//!   always converges (see `docs/ROBUSTNESS.md`).
 //! * **Zero cost when disabled**: without the `failpoints` cargo feature
 //!   (the default), [`fire`] is a `const false` inline stub and every
-//!   call site folds away; the memo integrity fields are not even
-//!   compiled. Release builds ship with the feature off.
+//!   call site folds away. Release builds ship with the feature off.
 //!
-//! Configuration is per-thread ([`install`]); the batch scheduler ships
-//! the coordinator's config to its workers so one [`FpConfig`] governs a
-//! whole parallel elaboration. The `UR_FAILPOINTS` environment variable
-//! (`seed=42;max=3;worker_exec=500;memo_load=250`, rates in permille)
-//! configures binaries without code changes ([`FpConfig::from_env`]).
+//! Configuration is per-thread ([`install`]); the serve layer installs
+//! its config on every thread it spawns. The `UR_FAILPOINTS` environment
+//! variable (`seed=42;max=3;cache_load=500;wal_sync=250`, rates in
+//! permille) configures binaries without code changes
+//! ([`FpConfig::from_env`]).
 
 use std::fmt;
 
 /// Number of named sites (length of [`Site::ALL`]).
-pub const NSITES: usize = 19;
+pub const NSITES: usize = 11;
 
 /// A named fault-injection site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Site {
-    /// Worker-thread spawn in the batch scheduler fails; the pool runs
-    /// smaller (possibly empty, degrading to sequential elaboration).
-    WorkerSpawn,
-    /// A worker dies mid-task (announces the death, sends no outcome).
-    WorkerExec,
-    /// A worker finishes a task but the outcome is lost in transit; the
-    /// coordinator's watchdog must notice and re-dispatch.
-    WorkerSend,
-    /// A worker stalls briefly before responding, exercising the
-    /// watchdog's patience without losing the result.
-    WorkerStall,
-    /// A memo-table load observes a corrupt entry; the per-entry
-    /// integrity check must reject it and recompute.
-    MemoLoad,
-    /// A memo-table store writes a corrupt entry (detected on a later
-    /// load by the integrity check).
-    MemoStore,
-    /// Intern-table growth hiccups (transient rehash); healed in place.
-    InternGrow,
-    /// Fuel accounting mischarges a burst of phantom steps; a resulting
-    /// spurious exhaustion is healed by the bounded declaration retry.
-    FuelCharge,
     /// Loading an on-disk incremental-cache entry observes corruption;
     /// the integrity tag must reject it and the declaration recomputes.
     CacheLoad,
@@ -108,14 +82,6 @@ pub enum Site {
 impl Site {
     /// Every site, in stable order (indexes into [`FpCounters::injected`]).
     pub const ALL: [Site; NSITES] = [
-        Site::WorkerSpawn,
-        Site::WorkerExec,
-        Site::WorkerSend,
-        Site::WorkerStall,
-        Site::MemoLoad,
-        Site::MemoStore,
-        Site::InternGrow,
-        Site::FuelCharge,
         Site::CacheLoad,
         Site::CacheStore,
         Site::WalAppend,
@@ -132,39 +98,23 @@ impl Site {
     /// Stable index of this site.
     pub fn index(self) -> usize {
         match self {
-            Site::WorkerSpawn => 0,
-            Site::WorkerExec => 1,
-            Site::WorkerSend => 2,
-            Site::WorkerStall => 3,
-            Site::MemoLoad => 4,
-            Site::MemoStore => 5,
-            Site::InternGrow => 6,
-            Site::FuelCharge => 7,
-            Site::CacheLoad => 8,
-            Site::CacheStore => 9,
-            Site::WalAppend => 10,
-            Site::WalSync => 11,
-            Site::SnapshotWrite => 12,
-            Site::WalCorrupt => 13,
-            Site::WalRotate => 14,
-            Site::ServeAccept => 15,
-            Site::ServeRead => 16,
-            Site::ServeWrite => 17,
-            Site::ServeWedge => 18,
+            Site::CacheLoad => 0,
+            Site::CacheStore => 1,
+            Site::WalAppend => 2,
+            Site::WalSync => 3,
+            Site::SnapshotWrite => 4,
+            Site::WalCorrupt => 5,
+            Site::WalRotate => 6,
+            Site::ServeAccept => 7,
+            Site::ServeRead => 8,
+            Site::ServeWrite => 9,
+            Site::ServeWedge => 10,
         }
     }
 
     /// The configuration/reporting name of this site.
     pub fn name(self) -> &'static str {
         match self {
-            Site::WorkerSpawn => "worker_spawn",
-            Site::WorkerExec => "worker_exec",
-            Site::WorkerSend => "worker_send",
-            Site::WorkerStall => "worker_stall",
-            Site::MemoLoad => "memo_load",
-            Site::MemoStore => "memo_store",
-            Site::InternGrow => "intern_grow",
-            Site::FuelCharge => "fuel_charge",
             Site::CacheLoad => "cache_load",
             Site::CacheStore => "cache_store",
             Site::WalAppend => "wal_append",
@@ -194,16 +144,16 @@ impl fmt::Display for Site {
 /// A deterministic fault schedule: a seed, a per-site activation rate in
 /// permille (0..=1000), and a per-site cap on total fires.
 ///
-/// `Copy + Send` so the batch scheduler can ship the coordinator's
-/// schedule to worker threads inside its base snapshot.
+/// `Copy + Send` so the serve layer can install one schedule on every
+/// thread it spawns.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FpConfig {
     /// Seed of the activation PRNG. Printed by the chaos harnesses so
     /// any failure reproduces exactly.
     pub seed: u64,
-    /// Cap on fires per site. Keep this *below* the retry budgets
-    /// (`MAX_DECL_RETRIES`, the scheduler's task-retry cap) to guarantee
-    /// the self-healing layers converge to the clean result.
+    /// Cap on fires per site. Keep this *below* the retry budgets of
+    /// the healing layers (e.g. the serve supervisor's restarts) to
+    /// guarantee they converge to the clean result.
     pub max_per_site: u32,
     rates: [u16; NSITES],
 }
@@ -273,14 +223,12 @@ impl FpConfig {
     }
 }
 
-/// Per-thread fault-injection counters, merged across workers by the
-/// batch coordinator with saturating arithmetic.
+/// Per-thread fault-injection counters; the serve layer merges its
+/// threads' counters with saturating arithmetic.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FpCounters {
     /// Faults injected per site ([`Site::index`] order).
     pub injected: [u64; NSITES],
-    /// Memo entries rejected by the per-entry integrity check.
-    pub integrity_rejections: u64,
 }
 
 impl FpCounters {
@@ -296,15 +244,11 @@ impl FpCounters {
         self.injected.iter().filter(|&&n| n > 0).count()
     }
 
-    /// Adds `other` into `self`, saturating at `u64::MAX` (the same
-    /// contract as [`crate::stats::Stats::absorb`]).
+    /// Adds `other` into `self`, saturating at `u64::MAX`.
     pub fn absorb(&mut self, other: &FpCounters) {
         for (a, b) in self.injected.iter_mut().zip(other.injected.iter()) {
             *a = a.saturating_add(*b);
         }
-        self.integrity_rejections = self
-            .integrity_rejections
-            .saturating_add(other.integrity_rejections);
     }
 }
 
@@ -345,16 +289,6 @@ mod imp {
         });
     }
 
-    /// This thread's installed schedule, if any.
-    pub fn config() -> Option<FpConfig> {
-        STATE.with(|s| s.borrow().config)
-    }
-
-    /// True when a schedule with at least one nonzero rate is installed.
-    pub fn active() -> bool {
-        STATE.with(|s| s.borrow().config.is_some_and(|c| c.any_active()))
-    }
-
     /// Consults `site`: true means *inject the fault now*. Deterministic
     /// given the installed config and the site's consultation count.
     pub fn fire(site: Site) -> bool {
@@ -383,36 +317,15 @@ mod imp {
         })
     }
 
-    /// This thread's counters (injected faults, integrity rejections),
-    /// including any worker counters absorbed via [`absorb_counters`].
+    /// This thread's injected-fault counters.
     pub fn counters() -> FpCounters {
         STATE.with(|s| s.borrow().counters)
     }
 
-    /// Reads and clears this thread's counters (used by batch workers to
-    /// ship per-task deltas to the coordinator).
+    /// Reads and clears this thread's counters (used by serve threads to
+    /// ship their deltas home).
     pub fn take_counters() -> FpCounters {
         STATE.with(|s| std::mem::take(&mut s.borrow_mut().counters))
-    }
-
-    /// Folds a worker's shipped counters into this thread's.
-    pub fn absorb_counters(other: &FpCounters) {
-        STATE.with(|s| s.borrow_mut().counters.absorb(other));
-    }
-
-    /// Records a memo-entry integrity rejection (called by [`crate::memo`]).
-    pub fn note_integrity_rejection() {
-        STATE.with(|s| {
-            let mut s = s.borrow_mut();
-            s.counters.integrity_rejections = s.counters.integrity_rejections.saturating_add(1);
-        });
-    }
-
-    /// Faults injected so far at `site` on this thread (used by the
-    /// declaration retry loop to decide whether an exhaustion is
-    /// suspect).
-    pub fn injected_at(site: Site) -> u64 {
-        STATE.with(|s| s.borrow().counters.injected[site.index()])
     }
 
     /// Compile-time flag: the `failpoints` feature is on.
@@ -431,16 +344,6 @@ mod imp {
     pub fn install(_config: Option<FpConfig>) {}
 
     #[inline(always)]
-    pub fn config() -> Option<FpConfig> {
-        None
-    }
-
-    #[inline(always)]
-    pub fn active() -> bool {
-        false
-    }
-
-    #[inline(always)]
     pub fn fire(_site: Site) -> bool {
         false
     }
@@ -455,25 +358,11 @@ mod imp {
         FpCounters::default()
     }
 
-    #[inline(always)]
-    pub fn absorb_counters(_other: &FpCounters) {}
-
-    #[inline(always)]
-    pub fn note_integrity_rejection() {}
-
-    #[inline(always)]
-    pub fn injected_at(_site: Site) -> u64 {
-        0
-    }
-
     /// Compile-time flag: the `failpoints` feature is off.
     pub const ENABLED: bool = false;
 }
 
-pub use imp::{
-    absorb_counters, active, config, counters, fire, injected_at, install,
-    note_integrity_rejection, take_counters, ENABLED,
-};
+pub use imp::{counters, fire, install, take_counters, ENABLED};
 
 #[cfg(test)]
 mod tests {
@@ -481,20 +370,20 @@ mod tests {
 
     #[test]
     fn parse_round_trips_sites_and_meta_keys() {
-        let cfg = FpConfig::parse("seed=42; max=5; worker_exec=500, memo_load=250")
+        let cfg = FpConfig::parse("seed=42; max=5; wal_sync=500, cache_load=250")
             .expect("valid spec");
         assert_eq!(cfg.seed, 42);
         assert_eq!(cfg.max_per_site, 5);
-        assert_eq!(cfg.rate(Site::WorkerExec), 500);
-        assert_eq!(cfg.rate(Site::MemoLoad), 250);
-        assert_eq!(cfg.rate(Site::FuelCharge), 0);
+        assert_eq!(cfg.rate(Site::WalSync), 500);
+        assert_eq!(cfg.rate(Site::CacheLoad), 250);
+        assert_eq!(cfg.rate(Site::ServeWedge), 0);
         assert!(cfg.any_active());
     }
 
     #[test]
     fn parse_rejects_unknown_keys_and_garbage() {
         assert!(FpConfig::parse("bogus_site=10").is_none());
-        assert!(FpConfig::parse("worker_exec").is_none());
+        assert!(FpConfig::parse("wal_sync").is_none());
         assert!(FpConfig::parse("seed=notanumber").is_none());
         // Empty spec is a valid (inert) schedule.
         let cfg = FpConfig::parse("").expect("empty is fine");
@@ -503,8 +392,8 @@ mod tests {
 
     #[test]
     fn rates_clamp_to_permille() {
-        let cfg = FpConfig::new(1).with_rate(Site::MemoStore, 9999);
-        assert_eq!(cfg.rate(Site::MemoStore), 1000);
+        let cfg = FpConfig::new(1).with_rate(Site::CacheStore, 9999);
+        assert_eq!(cfg.rate(Site::CacheStore), 1000);
     }
 
     #[test]
@@ -519,15 +408,12 @@ mod tests {
     fn counters_absorb_saturates() {
         let mut a = FpCounters::default();
         a.injected[0] = u64::MAX - 1;
-        a.integrity_rejections = 2;
         let mut b = FpCounters::default();
         b.injected[0] = 10;
         b.injected[3] = 7;
-        b.integrity_rejections = 5;
         a.absorb(&b);
         assert_eq!(a.injected[0], u64::MAX);
         assert_eq!(a.injected[3], 7);
-        assert_eq!(a.integrity_rejections, 7);
         assert_eq!(a.sites_exercised(), 2);
         assert_eq!(a.total_injected(), u64::MAX);
     }
@@ -539,21 +425,21 @@ mod tests {
         // never again.
         install(Some(
             FpConfig::new(7)
-                .with_rate(Site::InternGrow, 1000)
+                .with_rate(Site::WalAppend, 1000)
                 .with_max_per_site(2),
         ));
-        let fires: Vec<bool> = (0..6).map(|_| fire(Site::InternGrow)).collect();
+        let fires: Vec<bool> = (0..6).map(|_| fire(Site::WalAppend)).collect();
         assert_eq!(fires, vec![true, true, false, false, false, false]);
-        assert_eq!(injected_at(Site::InternGrow), 2);
+        assert_eq!(counters().injected[Site::WalAppend.index()], 2);
 
         // Reinstalling the same schedule replays the same stream.
         let c1 = take_counters();
         install(Some(
             FpConfig::new(7)
-                .with_rate(Site::InternGrow, 1000)
+                .with_rate(Site::WalAppend, 1000)
                 .with_max_per_site(2),
         ));
-        let fires2: Vec<bool> = (0..6).map(|_| fire(Site::InternGrow)).collect();
+        let fires2: Vec<bool> = (0..6).map(|_| fire(Site::WalAppend)).collect();
         assert_eq!(fires, fires2);
         assert_eq!(take_counters(), c1);
         install(None);
@@ -564,26 +450,26 @@ mod tests {
     fn partial_rates_follow_the_seeded_stream() {
         install(Some(
             FpConfig::new(0xC0FFEE)
-                .with_rate(Site::MemoLoad, 500)
+                .with_rate(Site::CacheLoad, 500)
                 .with_max_per_site(1000),
         ));
-        let a: Vec<bool> = (0..64).map(|_| fire(Site::MemoLoad)).collect();
+        let a: Vec<bool> = (0..64).map(|_| fire(Site::CacheLoad)).collect();
         install(Some(
             FpConfig::new(0xC0FFEE)
-                .with_rate(Site::MemoLoad, 500)
+                .with_rate(Site::CacheLoad, 500)
                 .with_max_per_site(1000),
         ));
-        let b: Vec<bool> = (0..64).map(|_| fire(Site::MemoLoad)).collect();
+        let b: Vec<bool> = (0..64).map(|_| fire(Site::CacheLoad)).collect();
         assert_eq!(a, b, "same seed, same schedule");
         assert!(a.iter().any(|&f| f) && a.iter().any(|&f| !f), "{a:?}");
 
         // A different seed gives a different schedule (overwhelmingly).
         install(Some(
             FpConfig::new(0xDECAF)
-                .with_rate(Site::MemoLoad, 500)
+                .with_rate(Site::CacheLoad, 500)
                 .with_max_per_site(1000),
         ));
-        let c: Vec<bool> = (0..64).map(|_| fire(Site::MemoLoad)).collect();
+        let c: Vec<bool> = (0..64).map(|_| fire(Site::CacheLoad)).collect();
         assert_ne!(a, c, "different seed, different schedule");
         let _ = take_counters();
         install(None);
@@ -595,9 +481,8 @@ mod tests {
     // compile-time contract of the disabled configuration.
     #[allow(clippy::assertions_on_constants)]
     fn disabled_stubs_are_inert() {
-        install(Some(FpConfig::new(1).with_rate(Site::MemoLoad, 1000)));
-        assert!(!active());
-        assert!(!fire(Site::MemoLoad));
+        install(Some(FpConfig::new(1).with_rate(Site::CacheLoad, 1000)));
+        assert!(!fire(Site::CacheLoad));
         assert_eq!(counters(), FpCounters::default());
         assert!(!ENABLED, "cfg(not(failpoints)) must report disabled");
     }

@@ -201,24 +201,11 @@ impl Fuel {
         if self.exhausted.is_some() {
             return false;
         }
-        // failpoint `fuel_charge`: mischarge a phantom burst of a quarter
-        // budget. A few fires push an innocent declaration over its limit,
-        // producing a *spurious* exhaustion — exactly the accounting bug
-        // the elaborator's bounded declaration retry must heal (the burst
-        // is deliberately kept out of `lifetime_norm_steps`, which records
-        // real work only).
-        if crate::failpoint::fire(crate::failpoint::Site::FuelCharge) {
-            let burst = self.limits.max_norm_steps / 4 + 1;
-            self.norm_steps = self.norm_steps.saturating_add(burst);
-        }
         if self.norm_steps >= self.limits.max_norm_steps {
             self.exhausted = Some(ResourceKind::NormSteps);
             return false;
         }
         self.norm_steps += 1;
-        // Saturating: the lifetime counter is merged across worker
-        // threads by the parallel scheduler, where wrap-around would
-        // silently corrupt the whole-run metric.
         self.lifetime_norm_steps = self.lifetime_norm_steps.saturating_add(1);
         true
     }
@@ -251,15 +238,6 @@ impl Fuel {
     /// across [`Fuel::reset`]s.
     pub fn lifetime_norm_steps(&self) -> u64 {
         self.lifetime_norm_steps
-    }
-
-    /// Folds `steps` lifetime normalization steps charged elsewhere (a
-    /// worker thread's fuel) into this fuel's whole-run metric.
-    /// Saturates instead of wrapping so merging many workers near the
-    /// `u64` ceiling pins the metric at `u64::MAX` rather than cycling
-    /// back through small values.
-    pub fn absorb_lifetime(&mut self, steps: u64) {
-        self.lifetime_norm_steps = self.lifetime_norm_steps.saturating_add(steps);
     }
 
     /// Clears exhaustion and all counters — called by the elaborator at
@@ -330,35 +308,6 @@ mod tests {
         assert!(f.step());
         assert_eq!(f.norm_steps_used(), 1);
         assert_eq!(f.lifetime_norm_steps(), 3);
-    }
-
-    #[test]
-    fn lifetime_merge_saturates_instead_of_wrapping() {
-        let mut f = Fuel::new(Limits::default());
-        assert!(f.step());
-        assert_eq!(f.lifetime_norm_steps(), 1);
-        // Merging a worker that itself saturated must not wrap to 0.
-        f.absorb_lifetime(u64::MAX);
-        assert_eq!(f.lifetime_norm_steps(), u64::MAX);
-        f.absorb_lifetime(17);
-        assert_eq!(f.lifetime_norm_steps(), u64::MAX);
-        // step() on a saturated counter stays pinned too.
-        assert!(f.step());
-        assert_eq!(f.lifetime_norm_steps(), u64::MAX);
-        // reset() never clears the lifetime metric.
-        f.reset();
-        assert_eq!(f.lifetime_norm_steps(), u64::MAX);
-    }
-
-    #[test]
-    fn lifetime_merge_accumulates_normally_below_ceiling() {
-        let mut a = Fuel::new(Limits::default());
-        let mut b = Fuel::new(Limits::default());
-        assert!(a.step());
-        assert!(b.step());
-        assert!(b.step());
-        a.absorb_lifetime(b.lifetime_norm_steps());
-        assert_eq!(a.lifetime_norm_steps(), 3);
     }
 
     #[test]

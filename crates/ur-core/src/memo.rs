@@ -56,24 +56,14 @@ struct Entry<T> {
     meta_gen: u64,
     /// True when no future meta solution can change the value.
     stable: bool,
-    /// Per-entry integrity tag, checked on every load. Only compiled
-    /// under the `failpoints` feature (the chaos harness corrupts
-    /// entries through the `memo_store`/`memo_load` sites and this check
-    /// is what detects them); production builds carry no tag.
-    #[cfg(feature = "failpoints")]
-    check: u64,
 }
 
-impl<T: Clone + IntegrityTag> Entry<T> {
+impl<T: Clone> Entry<T> {
     fn new(value: T, meta_gen: u64, stable: bool) -> Entry<T> {
-        #[cfg(feature = "failpoints")]
-        let check = value.tag();
         Entry {
             value,
             meta_gen,
             stable,
-            #[cfg(feature = "failpoints")]
-            check,
         }
     }
 
@@ -83,87 +73,6 @@ impl<T: Clone + IntegrityTag> Entry<T> {
         } else {
             None
         }
-    }
-
-    /// True when the stored tag still matches the value.
-    #[cfg(feature = "failpoints")]
-    fn verify(&self) -> bool {
-        self.check == self.value.tag()
-    }
-
-    /// Corrupts the entry's tag (simulating a torn write); only the
-    /// chaos harness ever calls this, via the `memo_store` site.
-    #[cfg(feature = "failpoints")]
-    fn corrupt(&mut self) {
-        self.check ^= 0xDEAD_BEEF_DEAD_BEEF;
-    }
-}
-
-/// A cheap content fingerprint for memo values, backing the per-entry
-/// integrity check. Collisions only weaken *fault detection* (a corrupt
-/// entry slipping through the chaos harness), never correctness of the
-/// clean path, so a fast non-cryptographic mix is plenty. `tag` is only
-/// called under the `failpoints` feature; the bound stays in both
-/// configurations so the table types don't fork.
-#[cfg_attr(not(feature = "failpoints"), allow(dead_code))]
-trait IntegrityTag {
-    fn tag(&self) -> u64;
-}
-
-#[cfg_attr(not(feature = "failpoints"), allow(dead_code))]
-fn fnv_mix(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(0x0000_0100_0000_01B3)
-}
-
-#[cfg_attr(not(feature = "failpoints"), allow(dead_code))]
-const FNV_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
-
-impl IntegrityTag for RCon {
-    fn tag(&self) -> u64 {
-        intern::hash_of(self)
-    }
-}
-
-impl IntegrityTag for bool {
-    fn tag(&self) -> u64 {
-        u64::from(*self)
-    }
-}
-
-impl IntegrityTag for ProveResult {
-    fn tag(&self) -> u64 {
-        match self {
-            ProveResult::Proved => 1,
-            ProveResult::NotYet => 2,
-            ProveResult::Refuted => 3,
-        }
-    }
-}
-
-impl IntegrityTag for RowNf {
-    fn tag(&self) -> u64 {
-        let key_tag = |k: &FieldKey| match k {
-            FieldKey::Lit(n) => n.bytes().fold(FNV_BASIS, |h, b| fnv_mix(h, u64::from(b))),
-            FieldKey::Neutral(c) => intern::hash_of(c),
-        };
-        let mut h = FNV_BASIS;
-        h = fnv_mix(h, self.fields.len() as u64);
-        for (k, v) in &self.fields {
-            h = fnv_mix(h, key_tag(k));
-            h = fnv_mix(h, intern::hash_of(v));
-        }
-        h = fnv_mix(h, self.source_fields.len() as u64);
-        for (k, _) in &self.source_fields {
-            h = fnv_mix(h, key_tag(k));
-        }
-        h = fnv_mix(h, self.atoms.len() as u64);
-        for a in &self.atoms {
-            h = fnv_mix(h, intern::hash_of(&a.base));
-            if let Some((f, _)) = &a.map {
-                h = fnv_mix(h, intern::hash_of(f));
-            }
-        }
-        h
     }
 }
 
@@ -336,46 +245,14 @@ impl Default for Memo {
     }
 }
 
-/// Loads `key` from `table`, consulting the `memo_load` failpoint and the
-/// per-entry integrity check. A corrupt entry (whether injected at store
-/// time or "bit-rotted" by the load fault) is evicted and counted, and
-/// the load misses — the caller recomputes, so faults never change
-/// results, only work. Without `failpoints` this is a plain lookup.
-fn load<K, T>(table: &mut HashMap<K, Entry<T>>, key: K, meta_gen: u64) -> Option<T>
+/// Loads `key` from `table`, serving the entry only while it is valid
+/// for `meta_gen`.
+fn load<K, T>(table: &HashMap<K, Entry<T>>, key: K, meta_gen: u64) -> Option<T>
 where
     K: Eq + std::hash::Hash,
-    T: Clone + IntegrityTag,
+    T: Clone,
 {
-    #[cfg(feature = "failpoints")]
-    if let Some(e) = table.get_mut(&key) {
-        if crate::failpoint::fire(crate::failpoint::Site::MemoLoad) {
-            e.corrupt();
-        }
-        if !e.verify() {
-            table.remove(&key);
-            crate::failpoint::note_integrity_rejection();
-            return None;
-        }
-    }
     table.get(&key).and_then(|e| e.get(meta_gen))
-}
-
-/// Inserts `entry`, letting the `memo_store` failpoint simulate a torn
-/// write (corrupt tag, detected and rejected by a later [`load`]).
-fn store<K, T>(table: &mut HashMap<K, Entry<T>>, key: K, entry: Entry<T>)
-where
-    K: Eq + std::hash::Hash,
-    T: Clone + IntegrityTag,
-{
-    #[cfg(feature = "failpoints")]
-    let entry = {
-        let mut entry = entry;
-        if crate::failpoint::fire(crate::failpoint::Site::MemoStore) {
-            entry.corrupt();
-        }
-        entry
-    };
-    table.insert(key, entry);
 }
 
 impl Memo {
@@ -393,7 +270,7 @@ impl Memo {
     }
 
     pub fn hnf_get(&mut self, c: ConId, env_gen: u64, meta_gen: u64) -> Option<RCon> {
-        if let Some(v) = load(&mut self.hnf, (c, env_gen), meta_gen) {
+        if let Some(v) = load(&self.hnf, (c, env_gen), meta_gen) {
             return Some(v);
         }
         if !globally_keyable(&c) {
@@ -403,9 +280,7 @@ impl Memo {
         let hit = read_lock(&gshard(c, env_gen).hnf).get(&(c, env_gen, lb)).copied();
         gnote(hit.is_some());
         let v = hit?;
-        // Promote into the local table (stable by construction), bypassing
-        // `store` so a `memo_store` fault can't corrupt a value the global
-        // layer already holds clean.
+        // Promote into the local table (stable by construction).
         self.hnf.insert((c, env_gen), Entry::new(v, meta_gen, true));
         Some(v)
     }
@@ -418,16 +293,13 @@ impl Memo {
                     .insert((c, env_gen, law_bits(laws)), *out);
             }
         }
-        store(
-            &mut self.hnf,
-            (c, env_gen),
-            Entry::new(RCon::clone(out), meta_gen, stable),
-        );
+        self.hnf
+            .insert((c, env_gen), Entry::new(RCon::clone(out), meta_gen, stable));
     }
 
     pub fn defeq_get(&mut self, a: ConId, b: ConId, env_gen: u64, meta_gen: u64) -> Option<bool> {
         let k = pair_key(a, b, env_gen);
-        if let Some(v) = load(&mut self.defeq, k, meta_gen) {
+        if let Some(v) = load(&self.defeq, k, meta_gen) {
             return Some(v);
         }
         if !globally_keyable(&a) || !globally_keyable(&b) {
@@ -453,11 +325,11 @@ impl Memo {
                     .insert((k.0, k.1, k.2, law_bits(laws)), eq);
             }
         }
-        store(&mut self.defeq, k, Entry::new(eq, meta_gen, eq));
+        self.defeq.insert(k, Entry::new(eq, meta_gen, eq));
     }
 
     pub fn row_get(&mut self, c: ConId, env_gen: u64, meta_gen: u64) -> Option<RowNf> {
-        if let Some(v) = load(&mut self.rows, (c, env_gen), meta_gen) {
+        if let Some(v) = load(&self.rows, (c, env_gen), meta_gen) {
             return Some(v);
         }
         if !globally_keyable(&c) {
@@ -479,11 +351,8 @@ impl Memo {
                     .insert((c, env_gen, law_bits(laws)), nf.clone());
             }
         }
-        store(
-            &mut self.rows,
-            (c, env_gen),
-            Entry::new(nf.clone(), meta_gen, stable),
-        );
+        self.rows
+            .insert((c, env_gen), Entry::new(nf.clone(), meta_gen, stable));
     }
 
     pub fn disjoint_get(
@@ -494,7 +363,7 @@ impl Memo {
         meta_gen: u64,
     ) -> Option<ProveResult> {
         let k = pair_key(a, b, env_gen);
-        if let Some(v) = load(&mut self.disjoint, k, meta_gen) {
+        if let Some(v) = load(&self.disjoint, k, meta_gen) {
             return Some(v);
         }
         if !globally_keyable(&a) || !globally_keyable(&b) {
@@ -524,7 +393,7 @@ impl Memo {
                     .insert((k.0, k.1, k.2, law_bits(laws)), out);
             }
         }
-        store(&mut self.disjoint, k, Entry::new(out, meta_gen, stable));
+        self.disjoint.insert(k, Entry::new(out, meta_gen, stable));
     }
 
     /// Entry counts per table `(hnf, defeq, rows, disjoint)`, for
@@ -582,51 +451,6 @@ mod tests {
         assert_eq!(m.defeq_get(a, a, 0, 0), Some(true), "same laws keep entries");
         m.check_laws(LawConfig { identity: false, ..LawConfig::default() });
         assert_eq!(m.defeq_get(a, a, 0, 0), None, "law flip clears entries");
-    }
-
-    #[cfg(feature = "failpoints")]
-    #[test]
-    fn corrupt_store_is_rejected_on_load_and_recomputable() {
-        use crate::failpoint::{self, FpConfig, Site};
-        let mut m = Memo::default();
-        let a = intern::id_of(&Con::int());
-        // Corrupt the very first store deterministically.
-        failpoint::install(Some(
-            FpConfig::new(11).with_rate(Site::MemoStore, 1000).with_max_per_site(1),
-        ));
-        m.defeq_put(a, a, 0, 0, true);
-        let before = failpoint::counters().integrity_rejections;
-        assert_eq!(m.defeq_get(a, a, 0, 0), None, "corrupt entry must not be served");
-        assert_eq!(
-            failpoint::counters().integrity_rejections,
-            before + 1,
-            "rejection must be counted"
-        );
-        // The entry was evicted; a clean re-store heals the table.
-        m.defeq_put(a, a, 0, 0, true);
-        assert_eq!(m.defeq_get(a, a, 0, 0), Some(true));
-        let _ = failpoint::take_counters();
-        failpoint::install(None);
-    }
-
-    #[cfg(feature = "failpoints")]
-    #[test]
-    fn load_fault_evicts_and_recomputes() {
-        use crate::failpoint::{self, FpConfig, Site};
-        let mut m = Memo::default();
-        let c = Con::row_one(Con::name("A"), Con::int());
-        let id = intern::id_of(&c);
-        m.hnf_put(id, 0, 0, &c);
-        failpoint::install(Some(
-            FpConfig::new(5).with_rate(Site::MemoLoad, 1000).with_max_per_site(1),
-        ));
-        assert_eq!(m.hnf_get(id, 0, 0), None, "bit-rotted load must miss");
-        assert_eq!(failpoint::counters().integrity_rejections, 1);
-        // Fault budget spent: a fresh store now round-trips.
-        m.hnf_put(id, 0, 0, &c);
-        assert!(m.hnf_get(id, 0, 0).is_some());
-        let _ = failpoint::take_counters();
-        failpoint::install(None);
     }
 
     /// Serializes tests that touch the process-global stable layer, so a

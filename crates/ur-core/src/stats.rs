@@ -68,32 +68,10 @@ pub struct Stats {
     /// [`Stats::capture_intern`].
     pub gmemo_hits: u64,
     pub gmemo_misses: u64,
-    /// Parallel batches elaborated (scheduler invocations that actually
-    /// fanned out to workers; see `ur_infer::batch`).
-    pub par_batches: u64,
-    /// Declarations elaborated on worker threads.
-    pub par_decls: u64,
-    /// Worker threads spawned across all parallel batches.
-    pub par_workers: u64,
-    /// Tasks re-dispatched after a watchdog timeout or worker death.
-    pub par_retries: u64,
-    /// Worker threads observed dead (announced or vanished) mid-batch.
-    pub par_worker_deaths: u64,
-    /// Watchdog deadline expirations (each triggers requeue/fallback).
-    pub watchdog_trips: u64,
-    /// Circuit-breaker activations in `Session` (degrade parallel →
-    /// sequential and/or memo off).
-    pub breaker_trips: u64,
-    /// Batches that ran degraded because the breaker was open.
-    pub breaker_degraded_batches: u64,
-    /// Whole-declaration retries after a suspect resource exhaustion.
-    pub decl_retries: u64,
     /// Snapshot of the thread-local failpoint counters (filled by
-    /// [`Stats::capture_failpoints`]): faults injected and memo entries
-    /// rejected by the per-entry integrity check. Always zero without
-    /// the `failpoints` feature.
+    /// [`Stats::capture_failpoints`]): faults injected. Always zero
+    /// without the `failpoints` feature.
     pub fp_faults_injected: u64,
-    pub fp_memo_rejections: u64,
     /// Incremental-engine queries issued (one per declaration per
     /// rebuild; see `ur-query`).
     pub queries_total: u64,
@@ -161,81 +139,6 @@ impl Stats {
         Stats::default()
     }
 
-    /// Adds every counter of `other` into `self`, saturating at
-    /// `u64::MAX`. The parallel scheduler folds per-worker deltas into the
-    /// coordinator's stats, so wrap-around here would corrupt whole-run
-    /// metrics the same way it would in [`crate::limits::Fuel`].
-    pub fn absorb(&mut self, other: &Stats) {
-        macro_rules! add {
-            ($($field:ident),+ $(,)?) => {
-                $(self.$field = self.$field.saturating_add(other.$field);)+
-            };
-        }
-        add!(
-            disjoint_prover_calls,
-            law_map_identity,
-            law_map_distrib,
-            law_map_fusion,
-            row_normalizations,
-            unify_calls,
-            constraints_postponed,
-            folders_generated,
-            reverse_engineered,
-            hnf_memo_hits,
-            hnf_memo_misses,
-            defeq_memo_hits,
-            defeq_memo_misses,
-            row_memo_hits,
-            row_memo_misses,
-            disjoint_memo_hits,
-            disjoint_memo_misses,
-            intern_nodes,
-            intern_hits,
-            intern_misses,
-            intern_names,
-            arena_bytes,
-            arena_shard_max,
-            arena_shard_min,
-            arena_contention,
-            gmemo_hits,
-            gmemo_misses,
-            par_batches,
-            par_decls,
-            par_workers,
-            par_retries,
-            par_worker_deaths,
-            watchdog_trips,
-            breaker_trips,
-            breaker_degraded_batches,
-            decl_retries,
-            fp_faults_injected,
-            fp_memo_rejections,
-            queries_total,
-            green_reused,
-            red_recomputed,
-            disk_hits,
-            disk_rejections,
-            disk_store_errs,
-            eval_vm_runs,
-            eval_interp_runs,
-            eval_vm_ops,
-            eval_chunks_compiled,
-            eval_chunk_hits,
-            eval_dispatch_ns,
-            srv_accepted,
-            srv_requests,
-            srv_shed,
-            srv_deadline_expired,
-            srv_worker_restarts,
-            srv_drained,
-            db_index_probes,
-            db_full_scans,
-            db_planner_fallbacks,
-            db_snapshot_reads,
-            db_versions_gcd,
-        );
-    }
-
     /// Copies the shared arena's size and hit/miss counters into this
     /// snapshot (they are process-global, not per-`Cx`, so they are
     /// captured on demand rather than incremented by the judgments).
@@ -259,12 +162,9 @@ impl Stats {
 
     /// Copies the thread-local failpoint counters into this snapshot
     /// (like [`Stats::capture_intern`], they are thread-global and
-    /// captured on demand). No-op totals without the `failpoints`
-    /// feature.
+    /// captured on demand). Zero without the `failpoints` feature.
     pub fn capture_failpoints(&mut self) {
-        let c = crate::failpoint::counters();
-        self.fp_faults_injected = c.total_injected();
-        self.fp_memo_rejections = c.integrity_rejections;
+        self.fp_faults_injected = crate::failpoint::counters().total_injected();
     }
 
     /// The difference `self - earlier`, counter-wise, saturating at zero.
@@ -313,25 +213,9 @@ impl Stats {
             arena_contention: self.arena_contention.saturating_sub(earlier.arena_contention),
             gmemo_hits: self.gmemo_hits.saturating_sub(earlier.gmemo_hits),
             gmemo_misses: self.gmemo_misses.saturating_sub(earlier.gmemo_misses),
-            par_batches: self.par_batches.saturating_sub(earlier.par_batches),
-            par_decls: self.par_decls.saturating_sub(earlier.par_decls),
-            par_workers: self.par_workers.saturating_sub(earlier.par_workers),
-            par_retries: self.par_retries.saturating_sub(earlier.par_retries),
-            par_worker_deaths: self
-                .par_worker_deaths
-                .saturating_sub(earlier.par_worker_deaths),
-            watchdog_trips: self.watchdog_trips.saturating_sub(earlier.watchdog_trips),
-            breaker_trips: self.breaker_trips.saturating_sub(earlier.breaker_trips),
-            breaker_degraded_batches: self
-                .breaker_degraded_batches
-                .saturating_sub(earlier.breaker_degraded_batches),
-            decl_retries: self.decl_retries.saturating_sub(earlier.decl_retries),
             fp_faults_injected: self
                 .fp_faults_injected
                 .saturating_sub(earlier.fp_faults_injected),
-            fp_memo_rejections: self
-                .fp_memo_rejections
-                .saturating_sub(earlier.fp_memo_rejections),
             queries_total: self.queries_total.saturating_sub(earlier.queries_total),
             green_reused: self.green_reused.saturating_sub(earlier.green_reused),
             red_recomputed: self.red_recomputed.saturating_sub(earlier.red_recomputed),
@@ -427,26 +311,7 @@ impl fmt::Display for Stats {
             " gmemo[hits={} misses={}]",
             self.gmemo_hits, self.gmemo_misses,
         )?;
-        write!(
-            f,
-            " par[batches={} decls={} workers={}]",
-            self.par_batches, self.par_decls, self.par_workers,
-        )?;
-        write!(
-            f,
-            " heal[retries={} deaths={} watchdog={} decl_retries={} breaker={}/{}]",
-            self.par_retries,
-            self.par_worker_deaths,
-            self.watchdog_trips,
-            self.decl_retries,
-            self.breaker_trips,
-            self.breaker_degraded_batches,
-        )?;
-        write!(
-            f,
-            " faults[injected={} memo_rejected={}]",
-            self.fp_faults_injected, self.fp_memo_rejections,
-        )?;
+        write!(f, " faults[injected={}]", self.fp_faults_injected)?;
         write!(
             f,
             " incr[queries={} green={} red={} disk={}/{} disk_store_err={}]",
@@ -494,18 +359,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn absorb_adds() {
-        let mut a = Stats::new();
-        a.disjoint_prover_calls = 3;
-        let mut b = Stats::new();
-        b.disjoint_prover_calls = 4;
-        b.law_map_fusion = 1;
-        a.absorb(&b);
-        assert_eq!(a.disjoint_prover_calls, 7);
-        assert_eq!(a.law_map_fusion, 1);
-    }
-
-    #[test]
     fn since_subtracts() {
         let mut early = Stats::new();
         early.unify_calls = 10;
@@ -551,68 +404,9 @@ mod tests {
     }
 
     #[test]
-    fn absorb_saturates_at_ceiling() {
-        let mut a = Stats::new();
-        a.unify_calls = u64::MAX - 1;
-        let mut b = Stats::new();
-        b.unify_calls = 10;
-        a.absorb(&b);
-        assert_eq!(a.unify_calls, u64::MAX);
-    }
-
-    #[test]
-    fn display_mentions_parallel_counters() {
+    fn display_mentions_fault_counters() {
         let s = Stats::new().to_string();
-        for key in ["par[batches=", "decls=", "workers="] {
-            assert!(s.contains(key), "missing {key} in {s}");
-        }
-    }
-
-    #[test]
-    fn display_mentions_healing_and_fault_counters() {
-        let s = Stats::new().to_string();
-        for key in [
-            "heal[retries=",
-            "deaths=",
-            "watchdog=",
-            "decl_retries=",
-            "breaker=",
-            "faults[injected=",
-            "memo_rejected=",
-        ] {
-            assert!(s.contains(key), "missing {key} in {s}");
-        }
-    }
-
-    #[test]
-    fn absorb_and_since_cover_healing_counters() {
-        let mut a = Stats::new();
-        a.par_retries = 2;
-        a.watchdog_trips = u64::MAX - 1;
-        let mut b = Stats::new();
-        b.par_retries = 3;
-        b.watchdog_trips = 10;
-        b.par_worker_deaths = 1;
-        b.breaker_trips = 1;
-        b.breaker_degraded_batches = 4;
-        b.decl_retries = 5;
-        b.fp_faults_injected = 6;
-        b.fp_memo_rejections = 7;
-        a.absorb(&b);
-        assert_eq!(a.par_retries, 5);
-        assert_eq!(a.watchdog_trips, u64::MAX, "saturating add");
-        assert_eq!(a.par_worker_deaths, 1);
-        assert_eq!(a.breaker_trips, 1);
-        assert_eq!(a.breaker_degraded_batches, 4);
-        assert_eq!(a.decl_retries, 5);
-        assert_eq!(a.fp_faults_injected, 6);
-        assert_eq!(a.fp_memo_rejections, 7);
-
-        let d = a.since(&b);
-        assert_eq!(d.par_retries, 2);
-        assert_eq!(d.fp_faults_injected, 0);
-        let d2 = b.since(&a);
-        assert_eq!(d2.par_retries, 0, "saturating sub");
+        assert!(s.contains("faults[injected="), "{s}");
     }
 
     #[test]
@@ -624,38 +418,35 @@ mod tests {
     }
 
     #[test]
-    fn absorb_and_since_cover_disk_store_errs() {
+    fn since_covers_disk_store_errs() {
         let mut a = Stats::new();
-        a.disk_store_errs = 2;
+        a.disk_store_errs = 5;
         let mut b = Stats::new();
         b.disk_store_errs = 3;
-        a.absorb(&b);
-        assert_eq!(a.disk_store_errs, 5);
         assert_eq!(a.since(&b).disk_store_errs, 2);
         assert_eq!(b.since(&a).disk_store_errs, 0, "saturating sub");
     }
 
     #[test]
-    fn absorb_and_since_cover_incremental_counters() {
+    fn since_covers_incremental_counters() {
         let mut a = Stats::new();
-        a.queries_total = 5;
-        a.disk_hits = u64::MAX - 1;
+        a.queries_total = 12;
+        a.green_reused = 4;
+        a.red_recomputed = 8;
+        a.disk_hits = 10;
+        a.disk_rejections = 2;
         let mut b = Stats::new();
         b.queries_total = 7;
         b.green_reused = 4;
         b.red_recomputed = 3;
-        b.disk_hits = 10;
-        b.disk_rejections = 2;
-        a.absorb(&b);
-        assert_eq!(a.queries_total, 12);
-        assert_eq!(a.green_reused, 4);
-        assert_eq!(a.red_recomputed, 3);
-        assert_eq!(a.disk_hits, u64::MAX, "saturating add");
-        assert_eq!(a.disk_rejections, 2);
+        b.disk_hits = 1;
 
         let d = a.since(&b);
         assert_eq!(d.queries_total, 5);
         assert_eq!(d.green_reused, 0);
+        assert_eq!(d.red_recomputed, 5);
+        assert_eq!(d.disk_hits, 9);
+        assert_eq!(d.disk_rejections, 2);
         let d2 = b.since(&a);
         assert_eq!(d2.queries_total, 0, "saturating sub");
     }
@@ -676,28 +467,26 @@ mod tests {
     }
 
     #[test]
-    fn absorb_and_since_cover_eval_counters() {
+    fn since_covers_eval_counters() {
         let mut a = Stats::new();
-        a.eval_vm_runs = 5;
-        a.eval_vm_ops = u64::MAX - 1;
+        a.eval_vm_runs = 7;
+        a.eval_interp_runs = 3;
+        a.eval_vm_ops = 110;
+        a.eval_chunks_compiled = 4;
+        a.eval_chunk_hits = 6;
+        a.eval_dispatch_ns = 123;
         let mut b = Stats::new();
         b.eval_vm_runs = 2;
-        b.eval_interp_runs = 3;
         b.eval_vm_ops = 10;
         b.eval_chunks_compiled = 4;
-        b.eval_chunk_hits = 6;
-        b.eval_dispatch_ns = 123;
-        a.absorb(&b);
-        assert_eq!(a.eval_vm_runs, 7);
-        assert_eq!(a.eval_interp_runs, 3);
-        assert_eq!(a.eval_vm_ops, u64::MAX, "saturating add");
-        assert_eq!(a.eval_chunks_compiled, 4);
-        assert_eq!(a.eval_chunk_hits, 6);
-        assert_eq!(a.eval_dispatch_ns, 123);
 
         let d = a.since(&b);
         assert_eq!(d.eval_vm_runs, 5);
+        assert_eq!(d.eval_interp_runs, 3);
+        assert_eq!(d.eval_vm_ops, 100);
         assert_eq!(d.eval_chunks_compiled, 0);
+        assert_eq!(d.eval_chunk_hits, 6);
+        assert_eq!(d.eval_dispatch_ns, 123);
         let d2 = b.since(&a);
         assert_eq!(d2.eval_vm_runs, 0, "saturating sub");
     }
@@ -718,28 +507,25 @@ mod tests {
     }
 
     #[test]
-    fn absorb_and_since_cover_serve_counters() {
+    fn since_covers_serve_counters() {
         let mut a = Stats::new();
-        a.srv_accepted = 5;
-        a.srv_shed = u64::MAX - 1;
+        a.srv_accepted = 7;
+        a.srv_requests = 9;
+        a.srv_shed = 10;
+        a.srv_deadline_expired = 3;
+        a.srv_worker_restarts = 4;
+        a.srv_drained = 6;
         let mut b = Stats::new();
         b.srv_accepted = 2;
-        b.srv_requests = 9;
-        b.srv_shed = 10;
-        b.srv_deadline_expired = 3;
         b.srv_worker_restarts = 4;
-        b.srv_drained = 6;
-        a.absorb(&b);
-        assert_eq!(a.srv_accepted, 7);
-        assert_eq!(a.srv_requests, 9);
-        assert_eq!(a.srv_shed, u64::MAX, "saturating add");
-        assert_eq!(a.srv_deadline_expired, 3);
-        assert_eq!(a.srv_worker_restarts, 4);
-        assert_eq!(a.srv_drained, 6);
 
         let d = a.since(&b);
         assert_eq!(d.srv_accepted, 5);
+        assert_eq!(d.srv_requests, 9);
+        assert_eq!(d.srv_shed, 10);
+        assert_eq!(d.srv_deadline_expired, 3);
         assert_eq!(d.srv_worker_restarts, 0);
+        assert_eq!(d.srv_drained, 6);
         let d2 = b.since(&a);
         assert_eq!(d2.srv_accepted, 0, "saturating sub");
     }
@@ -759,26 +545,24 @@ mod tests {
     }
 
     #[test]
-    fn absorb_since_and_capture_cover_db_counters() {
+    fn since_and_capture_cover_db_counters() {
         let mut a = Stats::new();
-        a.db_index_probes = 5;
-        a.db_full_scans = u64::MAX - 1;
+        a.db_index_probes = 7;
+        a.db_full_scans = 20;
+        a.db_planner_fallbacks = 3;
+        a.db_snapshot_reads = 4;
+        a.db_versions_gcd = 6;
         let mut b = Stats::new();
         b.db_index_probes = 2;
         b.db_full_scans = 10;
         b.db_planner_fallbacks = 3;
-        b.db_snapshot_reads = 4;
-        b.db_versions_gcd = 6;
-        a.absorb(&b);
-        assert_eq!(a.db_index_probes, 7);
-        assert_eq!(a.db_full_scans, u64::MAX, "saturating add");
-        assert_eq!(a.db_planner_fallbacks, 3);
-        assert_eq!(a.db_snapshot_reads, 4);
-        assert_eq!(a.db_versions_gcd, 6);
 
         let d = a.since(&b);
         assert_eq!(d.db_index_probes, 5);
+        assert_eq!(d.db_full_scans, 10);
         assert_eq!(d.db_planner_fallbacks, 0);
+        assert_eq!(d.db_snapshot_reads, 4);
+        assert_eq!(d.db_versions_gcd, 6);
         let d2 = b.since(&a);
         assert_eq!(d2.db_index_probes, 0, "saturating sub");
 
@@ -804,7 +588,6 @@ mod tests {
         // No schedule installed on this thread: counters read zero (and
         // with the feature off they are always zero).
         assert_eq!(s.fp_faults_injected, crate::failpoint::counters().total_injected());
-        assert_eq!(s.fp_memo_rejections, crate::failpoint::counters().integrity_rejections);
     }
 
     #[test]

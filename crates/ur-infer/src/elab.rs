@@ -68,10 +68,9 @@ pub(crate) enum Entry {
     Val(Sym),
 }
 
-/// A full capture of the elaborator's persistent state, for rolling back
-/// a chaos-faulted declaration attempt (see
-/// [`Elaborator::snapshot`]/[`Elaborator::restore`]). Sessions reuse it
-/// to roll back whole aborted batches. Opaque: it can only be fed back
+/// A full capture of the elaborator's persistent state (see
+/// [`Elaborator::snapshot`]/[`Elaborator::restore`]). Sessions use it to
+/// roll back whole aborted batches. Opaque: it can only be fed back
 /// to the elaborator it came from. `Clone` so a session can keep one
 /// base snapshot and restore it before every incremental rebuild.
 #[derive(Clone)]
@@ -162,9 +161,7 @@ impl Elaborator {
         let start = self.decls.len();
         for d in &prog.decls {
             // Per-declaration budget: resource outcomes must not depend on
-            // how much fuel earlier declarations happened to burn, so the
-            // sequential path matches the parallel scheduler (where every
-            // worker task starts on a fresh budget).
+            // how much fuel earlier declarations happened to burn.
             self.cx.fuel.reset();
             if let Err(e) = self.elab_top_decl(d) {
                 self.reset_transient();
@@ -214,83 +211,16 @@ impl Elaborator {
         (self.decls[start..].to_vec(), diags)
     }
 
-    /// Parses and elaborates a whole program on `threads` worker threads
-    /// (see [`crate::batch`]), collecting every diagnostic. Produces
-    /// results identical to [`elab_source_all`](Self::elab_source_all):
-    /// same declarations, same span-sorted diagnostics, same error
-    /// recovery. `threads <= 1` simply runs the sequential path.
-    pub fn elab_source_all_threads(
-        &mut self,
-        src: &str,
-        threads: usize,
-    ) -> (Vec<ElabDecl>, ur_syntax::Diagnostics) {
-        match ur_syntax::parse_program(src) {
-            Err(e) => (Vec::new(), vec![e.into()]),
-            Ok(prog) => self.elab_program_all_threads(&prog, threads),
-        }
-    }
-
-    /// Elaborates a parsed program on `threads` worker threads (see
-    /// [`crate::batch`]); `threads <= 1` runs sequentially.
-    pub fn elab_program_all_threads(
-        &mut self,
-        prog: &Program,
-        threads: usize,
-    ) -> (Vec<ElabDecl>, ur_syntax::Diagnostics) {
-        if threads <= 1 || prog.decls.len() < 2 {
-            self.elab_program_all(prog)
-        } else {
-            crate::batch::run_parallel(self, prog, threads)
-        }
-    }
-
     /// Elaborates one top-level declaration with error recovery: on
     /// failure the declaration's transient state (queued constraints,
     /// folder holes) is discarded, the fuel is reset, and the error is
     /// returned as a diagnostic; the elaborator stays usable either way.
     ///
     /// Every declaration starts on a fresh fuel budget (the lifetime
-    /// counter is preserved), so resource outcomes are independent of
-    /// elaboration order — the invariant the parallel scheduler's
-    /// determinism guarantee rests on.
-    ///
-    /// Under an active failpoint schedule, a resource exhaustion that
-    /// coincides with injected `fuel_charge` faults is *suspect*: the
-    /// declaration is retried (bounded, with full elaborator-state
-    /// restore so metavariable numbering matches a clean run). The fault
-    /// cap (`FpConfig::max_per_site`, default 3) is below the retry
-    /// budget, so the final attempt is guaranteed fault-free and the
-    /// healed outcome is identical to the never-faulted one. Without an
-    /// active schedule this is a single attempt with zero extra cost.
+    /// counter is preserved), so resource outcomes do not depend on how
+    /// much fuel earlier declarations burned — which is what lets the
+    /// incremental engine reuse a cached outcome in place of a rerun.
     pub(crate) fn elab_decl_recover(&mut self, d: &SDecl) -> Option<ur_syntax::Diagnostic> {
-        use ur_core::failpoint::{self, Site};
-        if !failpoint::active() {
-            return self.elab_decl_once(d);
-        }
-        const MAX_DECL_RETRIES: u32 = 4;
-        let mut attempt = 0u32;
-        loop {
-            let snap = self.snapshot();
-            let faults_before = failpoint::injected_at(Site::FuelCharge);
-            let diag = self.elab_decl_once(d);
-            let fuel_faulted = failpoint::injected_at(Site::FuelCharge) > faults_before;
-            let suspect = fuel_faulted
-                && diag
-                    .as_ref()
-                    .is_some_and(|g| g.code == ur_syntax::Code::ResourceExhausted);
-            if suspect && attempt + 1 < MAX_DECL_RETRIES {
-                self.restore(snap);
-                self.cx.stats.decl_retries = self.cx.stats.decl_retries.saturating_add(1);
-                attempt += 1;
-                continue;
-            }
-            return diag;
-        }
-    }
-
-    /// One elaboration attempt for a top-level declaration (the PR 3
-    /// `elab_decl_recover` body, unchanged).
-    fn elab_decl_once(&mut self, d: &SDecl) -> Option<ur_syntax::Diagnostic> {
         self.cx.fuel.reset();
         match self.elab_top_decl(d) {
             Ok(()) => {
@@ -311,8 +241,8 @@ impl Elaborator {
 
     /// Captures the elaborator's full persistent state — global env,
     /// checking context (metas, stats, fuel, memo), scope stack, and the
-    /// elaborated-declaration count — so a chaos-faulted attempt can be
-    /// rolled back as if it never ran. Transient state (constraints,
+    /// elaborated-declaration count — so an unwanted batch can be rolled
+    /// back as if it never ran. Transient state (constraints,
     /// folder holes) is empty at declaration boundaries and needs no
     /// capture.
     pub fn snapshot(&self) -> ElabSnapshot {
@@ -336,8 +266,8 @@ impl Elaborator {
         self.holes.clear();
     }
 
-    /// Installs an already-elaborated declaration (produced by a worker
-    /// thread and re-interned locally): records its global binding, its
+    /// Installs an already-elaborated declaration (a cached outcome from
+    /// the incremental engine): records its global binding, its
     /// scope entry, and the declaration itself, exactly as
     /// [`elab_top_decl`](Self::elab_top_decl) would have.
     pub(crate) fn install_elab_decl(&mut self, d: ElabDecl) {
@@ -2086,9 +2016,8 @@ fn param_desc(p: &SParam) -> String {
 }
 
 /// Sorts a diagnostic batch by source span. `sort_by_key` is stable, so
-/// diagnostics sharing a span keep their declaration order — the same
-/// final order whether the batch was produced sequentially or merged from
-/// parallel workers.
+/// diagnostics sharing a span keep their declaration order, whether
+/// they were elaborated or replayed from the incremental cache.
 pub(crate) fn sort_diags(diags: &mut ur_syntax::Diagnostics) {
     diags.sort_by_key(|d| d.span);
 }

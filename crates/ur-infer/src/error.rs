@@ -63,10 +63,11 @@ fn classify(message: &str) -> Code {
 /// many metavariables the context happened to allocate earlier.
 ///
 /// Metavariable indices are per-`MetaCx` allocation order, which depends
-/// on elaboration *schedule* — the one piece of diagnostic text that
-/// would otherwise differ between sequential and parallel runs of the
-/// same program. Everything else in a message (symbols display by name
-/// only, types are zonked) is schedule-independent.
+/// on what the context elaborated before — the one piece of diagnostic
+/// text that would otherwise differ between a cold run and an
+/// incremental rebuild that skipped (reused) earlier declarations.
+/// Everything else in a message (symbols display by name only, types are
+/// zonked) is independent of that history.
 pub(crate) fn canon_meta_numerals(msg: &str) -> String {
     let mut out = String::with_capacity(msg.len());
     let mut con_ids: Vec<String> = Vec::new();

@@ -38,9 +38,7 @@ pub mod elab;
 pub mod error;
 pub mod unify;
 
-pub use batch::{
-    default_threads, elab_program_all_incremental, ConBind, DeclRecord, DepGraph, Outcome, Seed,
-};
+pub use batch::{run_incremental_sequential, ConBind, DeclRecord, DepGraph, Outcome, Seed};
 pub use elab::{ElabDecl, ElabSnapshot, Elaborator};
 pub use error::{ElabError, EResult};
 pub use unify::{unify, unify_kind, Unify};

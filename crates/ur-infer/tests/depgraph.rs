@@ -1,14 +1,9 @@
-//! Dependency-graph coverage for the parallel batch scheduler
-//! (`ur_infer::batch`): forward references, shadowing, unknown names,
-//! and — via explicit edge lists — cycles, which name resolution over
-//! source can never produce but the scheduler must still reject with a
-//! coded diagnostic instead of deadlocking.
+//! Dependency-graph coverage (`ur_infer::batch::DepGraph`): the edges
+//! the incremental engine folds into each declaration's fingerprint —
+//! references, forward references, shadowing, unknown names, and
+//! `let`-local binders.
 
-use std::sync::mpsc;
-use std::time::Duration;
-
-use ur_infer::batch::{cycle_diagnostics, elab_program_all_with_graph};
-use ur_infer::{Code, DepGraph, Elaborator};
+use ur_infer::{DepGraph, Elaborator};
 use ur_syntax::parse_program;
 
 fn graph_of(src: &str) -> DepGraph {
@@ -16,35 +11,54 @@ fn graph_of(src: &str) -> DepGraph {
     DepGraph::build(&prog.decls)
 }
 
-// ---------------- name resolution ----------------
-
 #[test]
 fn references_draw_edges_to_the_binding_declaration() {
     let g = graph_of("val x = 1\nval y = x");
     assert_eq!(g.deps(0), &[] as &[usize]);
     assert_eq!(g.deps(1), &[0]);
-    assert_eq!(g.dependents(0), &[1]);
+}
+
+#[test]
+fn long_chains_complete() {
+    // A 20-deep chain: one edge per link, and the whole chain elaborates.
+    let mut src = String::from("val c0 = 1\n");
+    for i in 1..20 {
+        src.push_str(&format!("val c{i} = c{}\n", i - 1));
+    }
+    let g = graph_of(&src);
+    for i in 1..20 {
+        assert_eq!(g.deps(i), &[i - 1], "link {i}");
+    }
+    let mut elab = Elaborator::new();
+    let (decls, diags) = elab.elab_source_all(&src);
+    assert_eq!(decls.len(), 20);
+    assert!(diags.is_empty(), "{diags:?}");
 }
 
 #[test]
 fn forward_references_get_no_edge() {
-    // `a` references `laterName` before it is bound; sequentially that is
-    // an unbound-variable error, so the graph must NOT point forward —
-    // `a` elaborates against the base environment and fails identically.
+    // `a` references `laterName` before it is bound; that is an
+    // unbound-variable error, so the graph must NOT point forward.
     let g = graph_of("val a = laterName\nval laterName = 2\nval b = laterName");
     assert_eq!(g.deps(0), &[] as &[usize], "no forward edge");
     assert_eq!(g.deps(2), &[1], "later use binds to the declaration");
-    assert_eq!(g.dependents(1), &[2]);
 }
 
 #[test]
 fn shadowing_draws_edges_to_every_earlier_binder() {
-    // If the second `x` fails to elaborate, sequential recovery falls
-    // back to the first `x` — so a dependent needs BOTH binders done
-    // before it can run.
+    // If the second `x` fails to elaborate, error recovery falls back to
+    // the first `x` — so a dependent's outcome depends on BOTH binders.
     let g = graph_of("val x = 1\nval x = 2\nval y = x");
     assert_eq!(g.deps(1), &[] as &[usize], "the shadower itself uses no x");
     assert_eq!(g.deps(2), &[0, 1]);
+}
+
+#[test]
+fn diamond_dependencies_draw_one_edge_per_reference() {
+    let g = graph_of("val a = 1\nval b = a\nval c = a\nval d = c");
+    assert_eq!(g.deps(1), &[0]);
+    assert_eq!(g.deps(2), &[0]);
+    assert_eq!(g.deps(3), &[2], "no transitive edge to a");
 }
 
 #[test]
@@ -55,30 +69,20 @@ fn unknown_names_contribute_no_edges() {
 }
 
 #[test]
+fn unknown_names_fail_as_unbound() {
+    // The unknown name fails as unbound; the rest still elaborates.
+    let src = "val a = nowhere\nval b = 1";
+    let mut elab = Elaborator::new();
+    let (decls, diags) = elab.elab_source_all(src);
+    assert_eq!(decls.len(), 1, "only b elaborates");
+    assert_eq!(diags.len(), 1);
+    assert!(diags[0].message.contains("unbound"), "{}", diags[0]);
+}
+
+#[test]
 fn let_local_binders_do_not_leak_into_the_graph() {
     let g = graph_of("val a = let val q = 1 in q end\nval b = q");
     assert_eq!(g.deps(1), &[] as &[usize], "q is local to a's let");
-}
-
-#[test]
-fn unknown_names_fail_identically_under_the_scheduler() {
-    let src = "val a = nowhere\nval b = 1";
-    let mut seq = Elaborator::new();
-    let (seq_decls, seq_diags) = seq.elab_source_all_threads(src, 1);
-    let mut par = Elaborator::new();
-    let (par_decls, par_diags) = par.elab_source_all_threads(src, 4);
-    assert_eq!(seq_decls.len(), 1, "only b elaborates");
-    assert_eq!(par_decls.len(), 1);
-    assert_eq!(seq_diags, par_diags);
-    assert!(seq_diags[0].message.contains("unbound"), "{}", seq_diags[0]);
-}
-
-// ---------------- scheduling ----------------
-
-#[test]
-fn diamond_dependencies_schedule_lowest_index_first() {
-    let g = graph_of("val a = 1\nval b = a\nval c = a\nval d = c");
-    assert_eq!(g.topo_order().expect("acyclic"), vec![0, 1, 2, 3]);
 }
 
 #[test]
@@ -90,74 +94,13 @@ fn graphs_built_from_source_are_always_acyclic() {
         "fun f (x : int) = f x",
         "val a = b\nval b = a",
     ] {
+        let n = parse_program(src).expect("parse").decls.len();
         let g = graph_of(src);
-        assert!(g.topo_order().is_ok(), "source {src:?} produced a cycle");
+        for i in 0..n {
+            assert!(
+                g.deps(i).iter().all(|&d| d < i),
+                "source {src:?}: declaration {i} has a non-backward edge"
+            );
+        }
     }
-}
-
-#[test]
-fn long_chains_complete_at_high_thread_counts() {
-    // Depth 20 with 8 workers: most workers are starved most of the
-    // time, which is exactly where a buggy dispatch loop would deadlock.
-    let mut src = String::from("val c0 = 1\n");
-    for i in 1..20 {
-        src.push_str(&format!("val c{i} = c{}\n", i - 1));
-    }
-    let mut elab = Elaborator::new();
-    let (decls, diags) = elab.elab_source_all_threads(&src, 8);
-    assert_eq!(decls.len(), 20);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-// ---------------- cycles ----------------
-
-#[test]
-fn explicit_cycles_are_detected_by_topo_order() {
-    let g = DepGraph::from_edges(3, &[(0, 1), (1, 0)]);
-    assert_eq!(g.topo_order(), Err(vec![0, 1]), "node 2 stays schedulable");
-}
-
-#[test]
-fn nodes_downstream_of_a_cycle_are_reported_too() {
-    let g = DepGraph::from_edges(4, &[(0, 1), (1, 0), (2, 1)]);
-    assert_eq!(g.topo_order(), Err(vec![0, 1, 2]));
-}
-
-#[test]
-fn cycle_diagnostics_carry_the_e0700_code_and_name_the_ring() {
-    let prog = parse_program("val a = 1\nval b = 2").expect("parse");
-    let diags = cycle_diagnostics(&prog, &[0, 1]);
-    assert_eq!(diags.len(), 2);
-    for d in &diags {
-        assert_eq!(d.code, Code::DependencyCycle);
-        assert_eq!(d.code.as_str(), "E0700");
-        assert!(
-            d.notes.iter().any(|n| n.contains("a") && n.contains("b")),
-            "note must name the ring: {d}"
-        );
-    }
-    assert!(diags.windows(2).all(|w| w[0].span <= w[1].span));
-}
-
-#[test]
-fn cyclic_graph_rejects_the_batch_without_hanging() {
-    // Run the scheduler itself on a cyclic graph, under a watchdog: a
-    // deadlocked dispatch loop fails this test in five seconds instead of
-    // wedging the whole suite.
-    let (tx, rx) = mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        let prog = parse_program("val a = 1\nval b = 2\nval c = 3").expect("parse");
-        let graph = DepGraph::from_edges(3, &[(0, 1), (1, 0)]);
-        let mut elab = Elaborator::new();
-        // ElabDecl is deliberately !Send, so ship only a summary back.
-        let (decls, diags) = elab_program_all_with_graph(&mut elab, &prog, 4, &graph);
-        tx.send((decls.len(), diags)).ok();
-    });
-    let (n_decls, diags) = rx
-        .recv_timeout(Duration::from_secs(5))
-        .expect("scheduler hung on a cyclic graph");
-    worker.join().expect("join");
-    assert_eq!(n_decls, 0, "a cyclic batch elaborates nothing");
-    assert_eq!(diags.len(), 2);
-    assert!(diags.iter().all(|d| d.code == Code::DependencyCycle));
 }

@@ -24,11 +24,11 @@
 //! [`crate::disk`]); green declarations are *seeded* — their recorded
 //! outcome is installed verbatim, re-running none of the hnf/defeq/unify
 //! machinery and charging no fuel. Everything else is **red** and
-//! re-elaborates through the ordinary engine, in parallel when a thread
-//! pool is available ([`elab_program_all_incremental`] composes with the
-//! PR-3 scheduler: seeded outcomes ship to workers exactly like
-//! completed tasks). After the run, every red outcome is linked
-//! ([`crate::link`]) and written back to both cache layers.
+//! re-elaborates through the ordinary elaborator, in source order
+//! ([`run_incremental_sequential`] installs the seeds at their source
+//! positions between the red elaborations). After the run, every red
+//! outcome is linked ([`crate::link`]) and written back to both cache
+//! layers.
 //!
 //! The green requirement on dependencies is what makes seeding sound
 //! with direct symbol linking: a green declaration's payload references
@@ -39,7 +39,7 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use ur_core::fingerprint::{hash_str, mix, Fnv64};
 use ur_core::sym::Sym;
-use ur_infer::{elab_program_all_incremental, DepGraph, Elaborator, Seed};
+use ur_infer::{run_incremental_sequential, DepGraph, Elaborator, Seed};
 use ur_infer::{Code, Diagnostic, Diagnostics, ElabDecl};
 use ur_syntax::pretty::decl_to_string;
 use ur_syntax::{parse_program, Span};
@@ -119,13 +119,16 @@ impl Engine {
     /// diagnostics in source order, and a [`RunReport`].
     ///
     /// Semantics are identical to a cold
-    /// [`elab_source_all_threads`](ur_infer::elab::Elaborator) run —
-    /// the cache changes how much work happens, never the result.
+    /// [`elab_source_all`](ur_infer::elab::Elaborator::elab_source_all)
+    /// run — the cache changes how much work happens, never the result.
+    ///
+    /// `_threads`: ignored; elaboration is sequential; kept because
+    /// perfbench names it.
     pub fn run(
         &mut self,
         elab: &mut Elaborator,
         src: &str,
-        threads: usize,
+        _threads: usize,
     ) -> (Vec<ElabDecl>, Diagnostics, RunReport) {
         let prog = match parse_program(src) {
             Ok(p) => p,
@@ -143,9 +146,8 @@ impl Engine {
         let env_fp = env_fingerprint(elab, self.base_tag, &base_cons, &base_vals);
 
         // Fingerprints. Dependencies always point at earlier
-        // declarations or form cycles the scheduler reports; for
-        // robustness a forward edge contributes a fixed tag instead of
-        // an (uncomputed) fingerprint.
+        // declarations; for robustness a forward edge contributes a
+        // fixed tag instead of an (uncomputed) fingerprint.
         let graph = DepGraph::build(&prog.decls);
         let mut input_fp = vec![0u64; n];
         for i in 0..n {
@@ -210,8 +212,7 @@ impl Engine {
         }
         let greens = green.iter().filter(|&&g| g).count();
 
-        let (decls, diags, records) =
-            elab_program_all_incremental(elab, &prog, threads, &graph, seeds);
+        let (decls, diags, records) = run_incremental_sequential(elab, &prog, seeds);
 
         // Write back every red outcome in linked form. Green outcomes
         // are only (re-)registered in the link table so later red
@@ -329,7 +330,7 @@ mod tests {
 
     fn run_cold(src: &str) -> (Vec<ElabDecl>, Diagnostics) {
         let mut elab = Elaborator::new();
-        elab.elab_source_all_threads(src, 1)
+        elab.elab_source_all(src)
     }
 
     fn strip(decls: &[ElabDecl]) -> Vec<String> {

@@ -34,4 +34,4 @@ pub mod prelude;
 pub mod session;
 
 pub use prelude::PRELUDE;
-pub use session::{Breaker, BreakerConfig, Session, SessionError, SessionSnapshot};
+pub use session::{Session, SessionError, SessionSnapshot};

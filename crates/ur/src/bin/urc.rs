@@ -9,8 +9,6 @@
 //! options:
 //!   --print            print every top-level value as it is defined
 //!   --stats            print inference statistics (the Figure 5 counters)
-//!   --health           print the self-healing report (circuit breaker,
-//!                      watchdog/retry counters, fault injection totals)
 //!   --core NAME        dump the elaborated core term of value NAME
 //!   --type NAME        print the inferred type of value NAME
 //!   --eval EXPR        evaluate EXPR after loading the files
@@ -18,8 +16,6 @@
 //!                      the tree-walking interpreter (the differential
 //!                      oracle; also: UR_EVAL env var)
 //!   --sql-log          print the SQL statements the program issued
-//!   --jobs N           elaborate on N worker threads (default: available
-//!                      parallelism; 1 = sequential)
 //!   --no-identity      disable the map-identity law   (ablation)
 //!   --no-distrib       disable map-distributivity     (ablation)
 //!   --no-fusion        disable map-fusion             (ablation)
@@ -77,12 +73,10 @@ struct Options {
     files: Vec<String>,
     print: bool,
     stats: bool,
-    health: bool,
     core: Vec<String>,
     types: Vec<String>,
     evals: Vec<String>,
     sql_log: bool,
-    jobs: Option<usize>,
     no_identity: bool,
     no_distrib: bool,
     no_fusion: bool,
@@ -100,8 +94,8 @@ struct Options {
 }
 
 fn usage() -> &'static str {
-    "usage: urc [--print] [--stats] [--health] [--core NAME] [--type NAME] [--eval EXPR]\n\
-     \x20          [--eval=vm|interp] [--sql-log] [--jobs N] [--no-identity] [--no-distrib]\n\
+    "usage: urc [--print] [--stats] [--core NAME] [--type NAME] [--eval EXPR]\n\
+     \x20          [--eval=vm|interp] [--sql-log] [--no-identity] [--no-distrib]\n\
      \x20          [--no-fusion] [--emit-json] [--cache-dir DIR] [--db-dir DIR] [--watch]\n\
      \x20          [--serve] [--listen ADDR] [--pool N] [--queue-depth N] [--max-conns N]\n\
      \x20          [--deadline-ms N] FILE...\n\
@@ -120,12 +114,10 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
         files: Vec::new(),
         print: false,
         stats: false,
-        health: false,
         core: Vec::new(),
         types: Vec::new(),
         evals: Vec::new(),
         sql_log: false,
-        jobs: None,
         no_identity: false,
         no_distrib: false,
         no_fusion: false,
@@ -146,7 +138,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
             "--help" | "-h" => return Err(usage().to_string()),
             "--print" => opts.print = true,
             "--stats" => opts.stats = true,
-            "--health" => opts.health = true,
             "--sql-log" => opts.sql_log = true,
             "--no-identity" => opts.no_identity = true,
             "--no-distrib" => opts.no_distrib = true,
@@ -200,12 +191,11 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
             "--eval" => opts
                 .evals
                 .push(args.next().ok_or("--eval needs an expression")?),
+            // Ignored; elaboration is sequential; kept because perfbench names it.
             "--jobs" => {
                 let v = args.next().ok_or("--jobs needs a thread count")?;
-                let n: usize = v
-                    .parse()
+                v.parse::<usize>()
                     .map_err(|_| format!("--jobs: not a thread count: {v}"))?;
-                opts.jobs = Some(n.max(1));
             }
             other if other.starts_with("--eval=") => {
                 let name = &other["--eval=".len()..];
@@ -242,9 +232,6 @@ fn run(opts: &Options) -> Result<(), String> {
         return listen(opts, addr);
     }
     let mut sess = Session::new().map_err(|e| e.to_string())?;
-    if let Some(jobs) = opts.jobs {
-        sess.threads = jobs;
-    }
     sess.elab.cx.laws.identity = !opts.no_identity;
     sess.elab.cx.laws.distrib = !opts.no_distrib;
     sess.elab.cx.laws.fusion = !opts.no_fusion;
@@ -346,9 +333,6 @@ fn run(opts: &Options) -> Result<(), String> {
     if opts.stats {
         eprintln!("stats: {}", sess.stats_snapshot());
         eprintln!("eval engine: {}", sess.engine.name());
-    }
-    if opts.health {
-        eprint!("{}", sess.health_report());
     }
     Ok(())
 }
@@ -463,7 +447,6 @@ fn listen(opts: &Options, addr: &str) -> Result<(), String> {
     use std::io::Write;
     let mut cfg = ur::serve::ServeConfig {
         addr: addr.to_string(),
-        threads: opts.jobs,
         engine: opts.engine,
         cache_dir: opts.cache_dir.as_ref().map(std::path::PathBuf::from),
         db_dir: opts

@@ -7,8 +7,7 @@
 //! Enter expressions to evaluate them, declarations (`val`/`fun`/`type`/
 //! `con`) to extend the session, `:t e` for the type of an expression,
 //! `:stats` for the Figure-5 counters plus the memo-cache, intern-table,
-//! self-healing, and eval-engine columns, `:health` for the
-//! circuit-breaker/fault report, `:db` for the database report (tables,
+//! and eval-engine columns, `:db` for the database report (tables,
 //! WAL, durability counters), and `:quit` to exit. With `--db-dir DIR`
 //! the session's database effects go through the crash-safe WAL +
 //! snapshot store; `--eval=` picks the execution engine (the bytecode VM
@@ -68,8 +67,8 @@ fn main() {
         }
     }
     println!(
-        "Ur REPL — :t <expr> for types, :stats for counters, :health for the \
-         self-healing report, :db for the database, :quit to exit"
+        "Ur REPL — :t <expr> for types, :stats for counters, :db for the \
+         database, :quit to exit"
     );
     let stdin = std::io::stdin();
     loop {
@@ -94,10 +93,6 @@ fn main() {
         if line == ":stats" {
             println!("{}", sess.stats_snapshot());
             println!("eval engine: {}", sess.engine.name());
-            continue;
-        }
-        if line == ":health" {
-            print!("{}", sess.health_report());
             continue;
         }
         if line == ":db" {

@@ -298,6 +298,19 @@ fn three_independent_errors_reported_in_one_pass() {
 }
 
 #[test]
+fn multi_error_diagnostics_are_complete_and_span_sorted() {
+    let mut elab = Elaborator::new();
+    let src =
+        "val a : int = \"not an int\"\nval b = missingVariable\nval c : string = 42\nval good = 7";
+    let (decls, diags) = elab.elab_source_all(src);
+    assert_eq!(diags.len(), 3, "{diags:?}");
+    assert_eq!(decls.len(), 1, "only `good` elaborates");
+    assert!(diags.windows(2).all(|w| w[0].span <= w[1].span));
+    let lines: Vec<u32> = diags.iter().map(|d| d.span.line).collect();
+    assert_eq!(lines, vec![1, 2, 3]);
+}
+
+#[test]
 fn multi_error_pass_classifies_codes() {
     let mut elab = Elaborator::new();
     let src = "val a : int = \"s\"\nval b = nowhere\nval c : string = 42";

@@ -1,13 +1,13 @@
-//! Chaos differential suite: seeded fault injection against the
-//! self-healing elaboration pipeline (`ur_core::failpoint`,
-//! `ur_infer::batch`, `ur_web::Session`).
+//! Chaos differential suite: seeded fault injection against the layers
+//! that heal real faults (`ur_core::failpoint`): the incremental
+//! engine's disk cache (`ur_query`) and the durable store (`ur_db`).
 //!
-//! The contract under test: **faults cost retries and recomputation,
-//! never results.** Every test elaborates a batch under a deterministic
-//! fault schedule and compares declarations (up to fresh symbol ids) and
-//! diagnostics against the clean sequential run, while asserting that
-//! the intended recovery path actually ran (via the healing counters in
-//! `Stats` and the per-site injection counters).
+//! The contract under test: **faults cost recomputation, never
+//! results.** The cache tests build and rebuild a batch through
+//! `Session::reelaborate` under a deterministic fault schedule and
+//! compare declarations (up to fresh symbol ids) and diagnostics against
+//! a clean cold run, while asserting that faults actually fired (via the
+//! per-site injection counters).
 //!
 //! Requires `--features failpoints`:
 //!
@@ -18,21 +18,11 @@
 //! Every failure message carries the seed; reproduce a CI failure by
 //! re-running with `UR_CHAOS_SEED=<seed>` (see docs/ROBUSTNESS.md).
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use ur::core::failpoint::{self, FpConfig, FpCounters, Site};
-use ur::core::prelude::{Fuel, Limits, Stats};
-use ur::infer::Elaborator;
-use ur::web::BreakerConfig;
 use ur::Session;
 
-const THREADS: &[usize] = &[1, 2, 4, 8];
 const MATRIX_SEEDS: &[u64] = &[0xA11CE, 0xB0B, 0xC4A05];
-
-/// Shrinks the coordinator's watchdog so injected stalls and lost
-/// results cost tens of milliseconds instead of seconds. Spurious trips
-/// only cause dup-guarded re-dispatches, so this never affects results.
-fn short_watchdog() {
-    std::env::set_var("UR_WATCHDOG_MS", "50");
-}
 
 /// Erases gensym counters (`foo#123` -> `foo#`) so runs drawing
 /// different fresh-symbol numbers compare structurally.
@@ -50,8 +40,8 @@ fn strip_sym_ids(s: &str) -> String {
     out
 }
 
-/// A metaprogramming batch with parallel width: a record metaprogram,
-/// then independent clients (each a root of the dependency graph).
+/// A metaprogramming batch: a record metaprogram, then independent
+/// clients (each its own cache entry).
 fn corpus() -> String {
     use std::fmt::Write as _;
     let mut src = String::from(
@@ -70,53 +60,76 @@ fn corpus() -> String {
     src
 }
 
-/// A fault schedule touching every site at moderate rates, capped below
-/// the retry budgets so healing always converges.
+/// A fault schedule on both cache sites, capped so some entries survive
+/// to be reused.
 fn balanced(seed: u64) -> FpConfig {
     FpConfig::new(seed)
         .with_max_per_site(2)
-        .with_rate(Site::WorkerSpawn, 120)
-        .with_rate(Site::WorkerExec, 180)
-        .with_rate(Site::WorkerSend, 120)
-        .with_rate(Site::WorkerStall, 60)
-        .with_rate(Site::MemoLoad, 60)
-        .with_rate(Site::MemoStore, 60)
-        .with_rate(Site::InternGrow, 40)
-        .with_rate(Site::FuelCharge, 4)
+        .with_rate(Site::CacheLoad, 500)
+        .with_rate(Site::CacheStore, 500)
 }
 
-/// Elaborates `src` once in a fresh session under `cfg` (clean when
-/// `None`; the schedule starts after the prelude is installed). Returns
-/// (decl fingerprints, diag fingerprints, stats, faults injected).
-fn run_batch(
-    src: &str,
-    threads: usize,
-    cfg: Option<FpConfig>,
-) -> (Vec<String>, Vec<String>, Stats, FpCounters) {
-    let mut sess = Session::new().expect("session");
-    let _ = failpoint::take_counters();
-    failpoint::install(cfg);
-    let (decls, diags) = sess.elab.elab_source_all_threads(src, threads);
-    failpoint::install(None);
-    let fp = failpoint::take_counters();
-    let decl_fps = decls
+/// Declaration and diagnostic fingerprints of a session's batch.
+fn fingerprints(
+    sess: &Session,
+    base_len: usize,
+    diags: &ur::infer::Diagnostics,
+) -> (Vec<String>, Vec<String>) {
+    let decls = sess.elab.decls[base_len..]
         .iter()
         .map(|d| strip_sym_ids(&format!("{d:?}")))
         .collect();
-    let diag_fps = diags.iter().map(|d| d.to_string()).collect();
-    (decl_fps, diag_fps, sess.elab.cx.stats.clone(), fp)
+    let diags = diags.iter().map(|d| d.to_string()).collect();
+    (decls, diags)
 }
 
-// ---------------- the differential matrix ----------------
+/// The clean cold run: a fresh session, no cache, no faults.
+fn cold(src: &str) -> (Vec<String>, Vec<String>) {
+    let mut sess = Session::new().expect("session");
+    let base_len = sess.elab.decls.len();
+    let (_vals, diags) = sess.run_all(src);
+    fingerprints(&sess, base_len, &diags)
+}
 
-/// Fixed seeds x thread counts, all sites active: results must equal
-/// the clean sequential baseline, always.
+/// Builds `src` in one session and rebuilds it in a second one that
+/// seeds from the first's disk cache, both under `cfg` (the schedule
+/// starts after the prelude is installed). Returns the rebuild's
+/// (decl fingerprints, diag fingerprints), its stats display, and the
+/// faults injected.
+fn run_batch(src: &str, cfg: FpConfig) -> (Vec<String>, Vec<String>, String, FpCounters) {
+    static RUN: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "ur-chaos-cache-{}-{}",
+        std::process::id(),
+        RUN.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut first = Session::new().expect("session");
+    first.cache_dir = Some(dir.clone());
+    let mut second = Session::new().expect("session");
+    second.cache_dir = Some(dir.clone());
+    let base_len = second.elab.decls.len();
+
+    let _ = failpoint::take_counters();
+    failpoint::install(Some(cfg));
+    let _ = first.reelaborate(src);
+    let (_vals, diags) = second.reelaborate(src);
+    failpoint::install(None);
+    // Read the display before taking the counters: `stats_snapshot`
+    // captures the live thread-locals.
+    let display = second.stats_snapshot().to_string();
+    let fp = failpoint::take_counters();
+    let _ = std::fs::remove_dir_all(&dir);
+    let (decls, diags) = fingerprints(&second, base_len, &diags);
+    (decls, diags, display, fp)
+}
+
+/// Fixed seeds, both cache sites active: results must equal the clean
+/// cold run, always, and the faults must show in the stats display.
 #[test]
 fn seeded_chaos_matrix_never_diverges() {
-    short_watchdog();
     let src = corpus();
-    let (base_decls, base_diags, _, fp) = run_batch(&src, 1, None);
-    assert_eq!(fp, FpCounters::default(), "baseline must be fault-free");
+    let (base_decls, base_diags) = cold(&src);
     assert!(base_diags.is_empty(), "corpus must be clean: {base_diags:?}");
 
     let mut seeds: Vec<u64> = MATRIX_SEEDS.to_vec();
@@ -128,17 +141,20 @@ fn seeded_chaos_matrix_never_diverges() {
         seeds.push(s);
     }
     for seed in seeds {
-        for &t in THREADS {
-            let (decls, diags, _, _) = run_batch(&src, t, Some(balanced(seed)));
-            assert_eq!(
-                decls, base_decls,
-                "declarations diverged under chaos: UR_CHAOS_SEED={seed} threads={t}"
-            );
-            assert_eq!(
-                diags, base_diags,
-                "diagnostics diverged under chaos: UR_CHAOS_SEED={seed} threads={t}"
-            );
-        }
+        let (decls, diags, display, fp) = run_batch(&src, balanced(seed));
+        assert_eq!(
+            decls, base_decls,
+            "declarations diverged under chaos: UR_CHAOS_SEED={seed}"
+        );
+        assert_eq!(
+            diags, base_diags,
+            "diagnostics diverged under chaos: UR_CHAOS_SEED={seed}"
+        );
+        assert!(fp.total_injected() >= 1, "no fault fired: UR_CHAOS_SEED={seed}");
+        assert!(
+            display.contains(&format!("faults[injected={}]", fp.total_injected())),
+            "{display}"
+        );
     }
 }
 
@@ -147,7 +163,6 @@ fn seeded_chaos_matrix_never_diverges() {
 /// so any failure reproduces with `UR_CHAOS_SEED=<seed>`.
 #[test]
 fn randomized_seed_run_embeds_its_seed_in_failures() {
-    short_watchdog();
     let seed: u64 = std::env::var("UR_CHAOS_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -160,8 +175,8 @@ fn randomized_seed_run_embeds_its_seed_in_failures() {
         });
     println!("chaos randomized seed: UR_CHAOS_SEED={seed}");
     let src = corpus();
-    let (base_decls, base_diags, _, _) = run_batch(&src, 1, None);
-    let (decls, diags, _, _) = run_batch(&src, 4, Some(balanced(seed)));
+    let (base_decls, base_diags) = cold(&src);
+    let (decls, diags, _, _) = run_batch(&src, balanced(seed));
     assert_eq!(
         decls, base_decls,
         "diverged — reproduce with UR_CHAOS_SEED={seed}"
@@ -170,249 +185,6 @@ fn randomized_seed_run_embeds_its_seed_in_failures() {
         diags, base_diags,
         "diverged — reproduce with UR_CHAOS_SEED={seed}"
     );
-}
-
-// ---------------- per-site recovery paths ----------------
-
-/// Satellite: the scheduler's "missing outcomes" fallback. Every worker
-/// dies on its first task; the merge loop must elaborate the entire
-/// batch sequentially at the coordinator, with identical results.
-#[test]
-fn all_workers_dying_falls_back_to_sequential_merge() {
-    short_watchdog();
-    let src = corpus();
-    let (base_decls, base_diags, _, _) = run_batch(&src, 1, None);
-    let cfg = FpConfig::new(7)
-        .with_max_per_site(64)
-        .with_rate(Site::WorkerExec, 1000);
-    let (decls, diags, stats, fp) = run_batch(&src, 4, Some(cfg));
-    assert_eq!(decls, base_decls, "fallback changed declarations");
-    assert_eq!(diags, base_diags, "fallback changed diagnostics");
-    assert!(fp.injected[Site::WorkerExec.index()] >= 1, "{fp:?}");
-    assert!(stats.par_worker_deaths >= 1, "{stats:?}");
-    // Nobody survived to produce an outcome: everything came from the
-    // sequential fallback.
-    assert_eq!(stats.par_decls, 0, "{stats:?}");
-}
-
-/// A worker finishing a task but losing the result must trip the
-/// watchdog; the task is re-dispatched (or falls back), and the batch
-/// still matches the clean run.
-#[test]
-fn lost_results_trip_the_watchdog_and_heal() {
-    short_watchdog();
-    let src = corpus();
-    let (base_decls, base_diags, _, _) = run_batch(&src, 1, None);
-    let cfg = FpConfig::new(11)
-        .with_max_per_site(1)
-        .with_rate(Site::WorkerSend, 1000);
-    let (decls, diags, stats, fp) = run_batch(&src, 4, Some(cfg));
-    assert_eq!(decls, base_decls, "lost-result recovery changed declarations");
-    assert_eq!(diags, base_diags, "lost-result recovery changed diagnostics");
-    assert!(fp.injected[Site::WorkerSend.index()] >= 1, "{fp:?}");
-    assert!(stats.watchdog_trips >= 1, "{stats:?}");
-    assert!(stats.par_retries >= 1, "{stats:?}");
-}
-
-/// Corrupt memo entries (at store or load time) must be caught by the
-/// per-entry integrity check, evicted, and recomputed — results equal,
-/// rejections counted.
-#[test]
-fn memo_corruption_is_rejected_and_recomputed() {
-    let src = corpus();
-    let (base_decls, base_diags, _, _) = run_batch(&src, 1, None);
-    let cfg = FpConfig::new(13)
-        .with_max_per_site(64)
-        .with_rate(Site::MemoLoad, 500)
-        .with_rate(Site::MemoStore, 500);
-    let (decls, diags, _, fp) = run_batch(&src, 1, Some(cfg));
-    assert_eq!(decls, base_decls, "memo corruption leaked into results");
-    assert_eq!(diags, base_diags, "memo corruption leaked into diagnostics");
-    assert!(
-        fp.injected[Site::MemoLoad.index()] + fp.injected[Site::MemoStore.index()] >= 1,
-        "{fp:?}"
-    );
-    assert!(fp.integrity_rejections >= 1, "{fp:?}");
-}
-
-/// Phantom fuel bursts cause a spurious resource exhaustion; the
-/// bounded declaration retry (whose final attempt is guaranteed
-/// fault-free by the per-site cap) must converge to the clean result
-/// with no diagnostic.
-#[test]
-fn phantom_fuel_exhaustion_is_retried_to_the_clean_result() {
-    let src = "fun proj [nm :: Name] [t :: Type] [r :: {Type}] [[nm] ~ r] \
-               (x : $([nm = t] ++ r)) = x.nm";
-    let mut clean = Elaborator::new();
-    let decls = clean.elab_source(src).expect("clean elaboration");
-    let clean_fps: Vec<String> = decls
-        .iter()
-        .map(|d| strip_sym_ids(&format!("{d:?}")))
-        .collect();
-    let used = clean.cx.fuel.lifetime_norm_steps();
-    assert!(used > 0, "corpus must charge fuel");
-
-    // Budget 2x the real need: the clean run fits easily, but three
-    // injected bursts of budget/4+1 steps each force an exhaustion on
-    // the first attempt no matter how the real steps interleave.
-    let mut el = Elaborator::new();
-    el.cx.fuel = Fuel::new(Limits {
-        max_norm_steps: used * 2,
-        ..Limits::default()
-    });
-    let _ = failpoint::take_counters();
-    failpoint::install(Some(
-        FpConfig::new(17)
-            .with_max_per_site(3)
-            .with_rate(Site::FuelCharge, 1000),
-    ));
-    let (decls2, diags) = el.elab_source_all_threads(src, 1);
-    failpoint::install(None);
-    let fp = failpoint::take_counters();
-    let fps2: Vec<String> = decls2
-        .iter()
-        .map(|d| strip_sym_ids(&format!("{d:?}")))
-        .collect();
-    assert!(
-        diags.is_empty(),
-        "phantom exhaustion leaked a diagnostic: {diags:?}"
-    );
-    assert_eq!(fps2, clean_fps, "retry produced a different declaration");
-    assert!(fp.injected[Site::FuelCharge.index()] >= 1, "{fp:?}");
-    assert!(el.cx.stats.decl_retries >= 1, "{:?}", el.cx.stats);
-}
-
-/// Intern-table growth faults (forced rehash) are semantically
-/// invisible: hash-consing still canonicalizes, results still match.
-#[test]
-fn intern_growth_faults_are_invisible() {
-    let src = corpus();
-    let (base_decls, base_diags, _, _) = run_batch(&src, 1, None);
-    let cfg = FpConfig::new(19)
-        .with_max_per_site(64)
-        .with_rate(Site::InternGrow, 1000);
-    let (decls, diags, _, fp) = run_batch(&src, 1, Some(cfg));
-    assert_eq!(decls, base_decls);
-    assert_eq!(diags, base_diags);
-    assert!(fp.injected[Site::InternGrow.index()] >= 1, "{fp:?}");
-}
-
-// ---------------- session-level self-healing ----------------
-
-/// Satellite: a chaos-aborted batch must leave no trace after
-/// `rollback` — env, folder caches, memo tables, stats, and database
-/// all return to the pre-batch snapshot.
-#[test]
-fn chaos_batch_rolls_back_to_prebatch_state() {
-    short_watchdog();
-    let mut sess = Session::new().expect("session");
-    sess.threads = 4;
-    sess.run("val base = 10").expect("base decl");
-    let stats_before = sess.stats().clone();
-    let snap = sess.snapshot();
-
-    let _ = failpoint::take_counters();
-    failpoint::install(Some(balanced(23)));
-    let (_defs, _diags) = sess.run_all(&format!(
-        "{}\nval bad : int = \"nope\"\nval t = createTable \"chaos_t\" {{K = sqlInt}}",
-        corpus()
-    ));
-    failpoint::install(None);
-    let _ = failpoint::take_counters();
-
-    sess.rollback(snap);
-    assert_eq!(
-        *sess.stats(),
-        stats_before,
-        "stats drifted across a rolled-back chaos batch"
-    );
-    assert!(sess.get("a0").is_none(), "binding survived rollback");
-    assert!(sess.get("t").is_none(), "table binding survived rollback");
-    assert!(
-        sess.world.db.row_count("chaos_t").is_err(),
-        "database table survived rollback"
-    );
-    assert_eq!(sess.get_int("base").expect("base survives"), 10);
-
-    // The rolled-back session elaborates and evaluates normally.
-    sess.run("val after = base + 32").expect("post-rollback decl");
-    assert_eq!(sess.get_int("after").expect("after"), 42);
-}
-
-/// Sustained worker deaths must trip the session's circuit breaker; the
-/// next batch runs degraded (sequential, memo off) and still correct.
-#[test]
-fn sustained_faults_trip_the_breaker_and_degrade() {
-    short_watchdog();
-    let mut sess = Session::new().expect("session");
-    sess.threads = 4;
-    sess.breaker.config = BreakerConfig {
-        window: 2,
-        threshold: 1,
-        ..BreakerConfig::default()
-    };
-
-    let _ = failpoint::take_counters();
-    failpoint::install(Some(
-        FpConfig::new(29)
-            .with_max_per_site(64)
-            .with_rate(Site::WorkerExec, 1000),
-    ));
-    let (defs, diags) = sess.run_all("val a1 = 1\nval a2 = 2\nval a3 = 3\nval a4 = 4");
-    assert!(diags.is_empty(), "{diags:?}");
-    assert_eq!(defs.len(), 4);
-    assert!(
-        sess.breaker.is_open(),
-        "worker deaths must trip the breaker:\n{}",
-        sess.health_report()
-    );
-    assert_eq!(sess.stats().breaker_trips, 1);
-
-    // Degraded batch: sequential, so the worker-death schedule (still
-    // installed) has nothing to bite — and memoization is off.
-    let (defs2, diags2) = sess.run_all("val b1 = 5\nval b2 = 6");
-    failpoint::install(None);
-    let _ = failpoint::take_counters();
-    assert!(diags2.is_empty(), "{diags2:?}");
-    assert_eq!(defs2.len(), 2);
-    assert_eq!(sess.stats().breaker_degraded_batches, 1);
-    assert!(!sess.elab.cx.memo.enabled, "memo must be off while open");
-    assert_eq!(sess.get_int("b2").expect("b2"), 6);
-
-    let report = sess.health_report();
-    assert!(report.contains("OPEN (degraded)"), "{report}");
-    assert!(report.contains("worker_deaths"), "{report}");
-}
-
-/// The failpoint counters surface end to end: `Stats` display (the
-/// REPL's `:stats`) and the health report both carry nonzero fault and
-/// healing numbers after a chaotic batch.
-#[test]
-fn stats_and_health_surface_fault_counters() {
-    let mut sess = Session::new().expect("session");
-    let _ = failpoint::take_counters();
-    failpoint::install(Some(
-        FpConfig::new(31)
-            .with_max_per_site(64)
-            .with_rate(Site::MemoStore, 800)
-            .with_rate(Site::MemoLoad, 800),
-    ));
-    let (_defs, diags) = sess.run_all(&corpus());
-    failpoint::install(None);
-    assert!(diags.is_empty(), "{diags:?}");
-
-    // NB: the counters are left in place — `capture_failpoints` reads
-    // the live thread-locals, so clearing them here would zero the
-    // snapshot.
-    let snap = sess.stats_snapshot();
-    assert!(snap.fp_faults_injected >= 1, "{snap:?}");
-    assert!(snap.fp_memo_rejections >= 1, "{snap:?}");
-    let display = snap.to_string();
-    assert!(display.contains("faults["), "{display}");
-
-    let report = sess.health_report();
-    assert!(report.contains("fault injection: injected="), "{report}");
-    assert!(!report.contains("injected=0"), "{report}");
 }
 
 // ---------------- durability-layer fault injection ----------------

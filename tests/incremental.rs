@@ -12,7 +12,7 @@
 //!    single-declaration edit re-elaborates only that declaration plus
 //!    its true transitive dependents;
 //! 2. random edit scripts (mutate / insert / delete / swap) replayed
-//!    against a cold per-step baseline at 1, 2, and 4 worker threads;
+//!    against a cold per-step baseline;
 //! 3. the adversarial corpus — error outcomes cache and replay too;
 //! 4. on-disk cache corruption — every damaged entry degrades to a
 //!    recompute, never to a wrong answer;
@@ -22,8 +22,6 @@ use std::path::PathBuf;
 use ur::infer::Diagnostics;
 use ur::Session;
 use ur_testutil::Rng;
-
-const THREADS: &[usize] = &[1, 2, 4];
 
 /// Erases gensym counters (`foo#123` -> `foo#`) so runs that draw
 /// different fresh-symbol numbers from the process-global counter
@@ -79,10 +77,9 @@ fn normalize(
     }
 }
 
-/// Cold baseline: a fresh session, the sequential path, full evaluation.
+/// Cold baseline: a fresh session, no cache, full evaluation.
 fn cold(src: &str) -> Observed {
     let mut sess = Session::new().expect("session");
-    sess.threads = 1;
     let base_len = sess.elab.decls.len();
     let (vals, diags) = sess.run_all(src);
     normalize(&sess.elab.decls[base_len..], &vals, &diags)
@@ -97,11 +94,10 @@ struct Warm {
 }
 
 impl Warm {
-    fn new(tag: &str, threads: usize) -> Self {
+    fn new(tag: &str) -> Self {
         let dir = test_dir(tag);
         cleanup(&dir);
         let mut sess = Session::new().expect("session");
-        sess.threads = threads;
         sess.cache_dir = Some(dir.clone());
         let base_len = sess.elab.decls.len();
         Warm { sess, base_len, dir }
@@ -146,7 +142,7 @@ fn combined_figure5_batch() -> String {
 fn noop_rebuild_of_combined_figure5_batch_reruns_zero_elaborations() {
     let src = combined_figure5_batch();
     let baseline = cold(&src);
-    let mut warm = Warm::new("accept-noop", 1);
+    let mut warm = Warm::new("accept-noop");
 
     let (first, r1) = warm.rebuild(&src);
     assert_eq!(first, baseline, "cold incremental run diverges");
@@ -166,7 +162,7 @@ fn whitespace_and_comment_edits_stay_fully_green() {
     // goes through the span-erasing pretty-printer, so this is a no-op.
     let reformatted =
         "(* a comment *)\ncon t :: Type =   int\n\n\nval one : int = 1\nval two : t = one";
-    let mut warm = Warm::new("accept-ws", 1);
+    let mut warm = Warm::new("accept-ws");
     let (first, _) = warm.rebuild(src);
     let (second, r2) = warm.rebuild(reformatted);
     assert_eq!(r2.red, 0, "reformatting recomputed declarations: {r2:?}");
@@ -183,7 +179,7 @@ fn single_decl_edit_recomputes_only_the_dependent_cone() {
                   val one : int = 7\n\
                   val two : t = one\n\
                   val solo = 42\n";
-    let mut warm = Warm::new("accept-edit", 1);
+    let mut warm = Warm::new("accept-edit");
     warm.rebuild(base);
     let (obs, r) = warm.rebuild(edited);
     // `one` changed; `two` depends on it. `t` and `solo` are untouched.
@@ -200,7 +196,7 @@ fn single_decl_edit_recomputes_only_the_dependent_cone() {
 fn independent_decl_edit_leaves_the_rest_green() {
     let base = "val a = 1\nval b = a + 1\nval c = 10\nval d = c + 1\n";
     let edited = "val a = 1\nval b = a + 1\nval c = 20\nval d = c + 1\n";
-    let mut warm = Warm::new("accept-indep", 1);
+    let mut warm = Warm::new("accept-indep");
     warm.rebuild(base);
     let (obs, r) = warm.rebuild(edited);
     // Only the `c` cone (c, d) re-runs; the `a` cone stays green.
@@ -210,7 +206,7 @@ fn independent_decl_edit_leaves_the_rest_green() {
 }
 
 // ---------------------------------------------------------------------
-// 2. Random edit scripts vs cold baseline, at several thread counts
+// 2. Random edit scripts vs cold baseline
 // ---------------------------------------------------------------------
 
 /// A pool of independent well-formed declaration groups; any subset in
@@ -236,16 +232,16 @@ fn gen_group(rng: &mut Rng, salt: usize) -> String {
 }
 
 #[test]
-fn random_edit_scripts_match_the_cold_baseline_at_every_thread_count() {
-    for &t in THREADS {
-        let mut rng = Rng::new(0x1ec4_ed17 + t as u64);
+fn random_edit_scripts_match_the_cold_baseline() {
+    for seed in [0x1ec4_ed18_u64, 0x1ec4_ed19, 0x1ec4_ed1b] {
+        let mut rng = Rng::new(seed);
         let mut salt = 0usize;
         let fresh = |rng: &mut Rng, salt: &mut usize| {
             *salt += 1;
             gen_group(rng, *salt)
         };
         let mut groups: Vec<String> = (0..8).map(|_| fresh(&mut rng, &mut salt)).collect();
-        let mut warm = Warm::new(&format!("script-t{t}"), t);
+        let mut warm = Warm::new(&format!("script-{seed:x}"));
         for step in 0..10 {
             match rng.below(4) {
                 0 => {
@@ -266,23 +262,15 @@ fn random_edit_scripts_match_the_cold_baseline_at_every_thread_count() {
             }
             let src = groups.join("\n");
             let (obs, r) = warm.rebuild(&src);
-            assert_eq!(
-                obs,
-                cold(&src),
-                "step {step} at {t} threads diverges from cold"
-            );
-            assert_eq!(
-                r.decls_total,
-                r.green + r.red,
-                "step {step} at {t} threads: {r:?}"
-            );
+            assert_eq!(obs, cold(&src), "seed {seed:#x} step {step} diverges from cold");
+            assert_eq!(r.decls_total, r.green + r.red, "seed {seed:#x} step {step}: {r:?}");
         }
     }
 }
 
 #[test]
 fn dependency_chain_edits_propagate_redness_transitively() {
-    let mut warm = Warm::new("chain", 1);
+    let mut warm = Warm::new("chain");
     let base = "val base = 1\n\
                 val c1 = base + 1\n\
                 val c2 = c1 + 1\n\
@@ -350,7 +338,7 @@ const ADVERSARIAL: &[(&str, &str)] = &[
 fn adversarial_corpus_round_trips_through_the_incremental_engine() {
     for (i, (name, src)) in ADVERSARIAL.iter().enumerate() {
         let baseline = cold(src);
-        let mut warm = Warm::new(&format!("adv-{i}"), 1);
+        let mut warm = Warm::new(&format!("adv-{i}"));
         let (first, _) = warm.rebuild(src);
         assert_eq!(first, baseline, "{name}: cold incremental diverges");
         // Failed declarations cache their diagnostics, so a repeat is
@@ -364,7 +352,7 @@ fn adversarial_corpus_round_trips_through_the_incremental_engine() {
 #[test]
 fn cached_diagnostics_replay_at_shifted_spans() {
     let base = "val a = 1\nval bad = missingName\n";
-    let mut warm = Warm::new("shift", 1);
+    let mut warm = Warm::new("shift");
     let (first, _) = warm.rebuild(base);
     let line_of = |obs: &Observed| {
         assert_eq!(obs.diags.len(), 1, "{obs:?}");
@@ -467,7 +455,7 @@ fn a_second_session_seeds_from_disk() {
 #[test]
 fn green_reuse_charges_no_elaboration_fuel() {
     let src = combined_figure5_batch();
-    let mut warm = Warm::new("fuel", 1);
+    let mut warm = Warm::new("fuel");
     let steps_at_base = warm.sess.elab.cx.fuel.lifetime_norm_steps();
     warm.rebuild(&src);
     let steps_cold = warm.sess.elab.cx.fuel.lifetime_norm_steps();
