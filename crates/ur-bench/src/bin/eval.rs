@@ -1,7 +1,7 @@
 //! Compiled-evaluation benchmark: the bytecode VM against the
 //! tree-walking interpreter.
 //!
-//! Two hard gates back the PR's claims:
+//! Three hard gates back the VM's claims:
 //!
 //! * **Zero divergence** — every case study's usage demo and a
 //!   generative corpus of eval-heavy programs produce *identical*
@@ -14,6 +14,10 @@
 //!   mentions, while every tree-walker closure creation and application
 //!   clones the entire environment — a cost that grows with the number
 //!   of live globals, paid once or more per row.
+//! * **Linear page renders** — `sheet.Render` over 1,000 rows must cost
+//!   at most 15x what it costs over 100 rows on the VM. Linear is ~10x;
+//!   a page builder that copies the page on every `xcat` is quadratic
+//!   and measured 144x here.
 //!
 //! A second, *ungated* table reports the one-shot metaprogram loops
 //! (mkTable renders, folder folds): there both engines unwind the same
@@ -43,6 +47,11 @@ const REPS: usize = 5;
 const MIN_SPEEDUP: f64 = 10.0;
 /// Rows in the data-plane dataset.
 const DATA_ROWS: usize = 100;
+/// Repetitions of each page-render loop: a 1,000-row page takes
+/// milliseconds, so fewer than [`LOOP_REPS`] keep the run short.
+const RENDER_REPS: u32 = 10;
+/// The most a 1,000-row render may cost relative to a 100-row one.
+const MAX_RENDER_RATIO: f64 = 15.0;
 
 fn session_with(engine: EvalEngine) -> Session {
     let mut sess = Session::new().expect("session");
@@ -142,13 +151,13 @@ fn study_session(id: &str, setup: &str, engine: EvalEngine) -> Session {
 }
 
 /// Best-of-[`REPS`] per-iteration microseconds for evaluating `expr`
-/// [`LOOP_REPS`] times in `sess`, plus the final rendered value.
-fn time_loop(sess: &mut Session, expr: &str) -> (f64, String) {
+/// `reps` times in `sess`, plus the final rendered value.
+fn time_loop(sess: &mut Session, expr: &str, reps: u32) -> (f64, String) {
     let mut best = f64::INFINITY;
     let mut rendered = String::new();
     for _ in 0..REPS {
-        let (v, dt) = sess.eval_repeated(expr, LOOP_REPS).expect("loop expr");
-        let us = dt.as_secs_f64() * 1e6 / f64::from(LOOP_REPS);
+        let (v, dt) = sess.eval_repeated(expr, reps).expect("loop expr");
+        let us = dt.as_secs_f64() * 1e6 / f64::from(reps);
         best = best.min(us);
         rendered = v.to_string();
     }
@@ -167,7 +176,7 @@ fn render_loop(
 ) -> LoopRow {
     let mut vm = study_session(id, setup, EvalEngine::Vm);
     let mut interp = study_session(id, setup, EvalEngine::Interp);
-    measure(name, &mut vm, &mut interp, expr, false, divergences)
+    measure(name, &mut vm, &mut interp, expr, false, LOOP_REPS, divergences)
 }
 
 /// One *gated* data-plane loop: full application loaded, 100-row
@@ -180,7 +189,15 @@ fn data_plane_loop(
 ) -> LoopRow {
     let mut vm = full_app_session(setup, EvalEngine::Vm);
     let mut interp = full_app_session(setup, EvalEngine::Interp);
-    measure(name, &mut vm, &mut interp, expr, true, divergences)
+    measure(name, &mut vm, &mut interp, expr, true, LOOP_REPS, divergences)
+}
+
+/// One full-page render over the data-plane dataset: full application
+/// loaded, both engines, identical pages, timed over [`RENDER_REPS`].
+fn page_render(name: &'static str, setup: &str, expr: &str, divergences: &mut u64) -> LoopRow {
+    let mut vm = full_app_session(setup, EvalEngine::Vm);
+    let mut interp = full_app_session(setup, EvalEngine::Interp);
+    measure(name, &mut vm, &mut interp, expr, false, RENDER_REPS, divergences)
 }
 
 fn measure(
@@ -189,10 +206,11 @@ fn measure(
     interp: &mut Session,
     expr: &str,
     gated: bool,
+    reps: u32,
     divergences: &mut u64,
 ) -> LoopRow {
-    let (vm_us, vm_val) = time_loop(vm, expr);
-    let (interp_us, interp_val) = time_loop(interp, expr);
+    let (vm_us, vm_val) = time_loop(vm, expr, reps);
+    let (interp_us, interp_val) = time_loop(interp, expr, reps);
     if vm_val != interp_val {
         eprintln!("DIVERGENCE in render loop {name}: vm={vm_val} interp={interp_val}");
         *divergences += 1;
@@ -292,6 +310,29 @@ fn main() {
         ),
     ];
 
+    // ---- Gate 3: full-page renders at 100 and 1,000 rows. The page is
+    // a left fold of `xcat` over the rows; sharing subtrees keeps it
+    // linear in the row count.
+    let render_setup = format!(
+        "{setup}\nval rows200 = appendList rows rows\n\
+         val rows400 = appendList rows200 rows200\n\
+         val rows1000 = appendList (appendList rows400 rows400) rows200"
+    );
+    let render100 = page_render(
+        "spreadsheet/render100",
+        &render_setup,
+        "s.Render rows",
+        &mut divergences,
+    );
+    let render1000 = page_render(
+        "spreadsheet/render1000",
+        &render_setup,
+        "s.Render rows1000",
+        &mut divergences,
+    );
+    let render_ratio = render1000.vm_us / render100.vm_us;
+    loops.extend([render100, render1000]);
+
     // ---- Ungated: one-shot metaprogram loops. Both engines unwind the
     // same type-level program and share the builtin leaves, so the VM's
     // advantage here is structural (~2-3x), reported for honesty.
@@ -355,6 +396,9 @@ fn main() {
     }
     println!();
     println!("minimum gated data-plane speedup: {min_speedup:.1}x (gate: {MIN_SPEEDUP}x)");
+    println!(
+        "render cost, 1,000 rows vs 100 rows: {render_ratio:.1}x (gate: <= {MAX_RENDER_RATIO}x)"
+    );
     println!("total divergences: {divergences} (gate: 0)");
 
     let mut json = format!(
@@ -375,7 +419,8 @@ fn main() {
     }
     let _ = write!(
         json,
-        "  ],\n  \"min_speedup\": {min_speedup:.2},\n  \"divergences\": {divergences}\n}}\n"
+        "  ],\n  \"min_speedup\": {min_speedup:.2},\n  \"render_ratio\": {render_ratio:.2},\n  \
+         \"divergences\": {divergences}\n}}\n"
     );
     std::fs::write("BENCH_eval.json", &json).expect("write BENCH_eval.json");
     println!("wrote BENCH_eval.json");
@@ -386,5 +431,10 @@ fn main() {
     assert!(
         min_speedup >= MIN_SPEEDUP,
         "data-plane loop speedup {min_speedup:.1}x below the {MIN_SPEEDUP}x gate"
+    );
+    assert!(
+        render_ratio <= MAX_RENDER_RATIO,
+        "1,000-row render costs {render_ratio:.1}x the 100-row one, over the \
+         {MAX_RENDER_RATIO}x gate"
     );
 }

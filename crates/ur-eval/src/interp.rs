@@ -41,14 +41,9 @@ pub struct Interp<'a> {
     /// interpreter (ops executed, wall-clock in the dispatch loop). The
     /// embedder folds them into its session-wide stats after each eval.
     pub eval_stats: crate::vm::EvalStats,
-    /// VM-side resolution memo: `(constructor, cons-env head pointer)` →
-    /// the resolved constructor. The entry pins the environment's head
-    /// `Rc`, so while it is in the table no other allocation can take
-    /// that address — pointer equality then implies the same immutable
-    /// binding list. The tree-walker cannot use this table: its
-    /// environments are cloned `HashMap`s with no stable identity,
-    /// which is precisely the structural cost compilation removes.
-    pub(crate) resolve_memo: HashMap<(RCon, usize), (crate::vm::ConsEnv, RCon)>,
+    /// The VM's constructor-resolution memo. The tree-walker does not
+    /// use it: the interpreter stays the cache-free oracle.
+    pub(crate) resolve_memo: crate::vm::ResolveMemo,
     /// Unapplied-builtin wrapper values, allocated once per symbol
     /// instead of once per mention.
     builtin_vals: HashMap<Sym, Value>,
@@ -57,11 +52,6 @@ pub struct Interp<'a> {
     /// dispatch loop off the allocator entirely for calls.
     pub(crate) vec_pool: Vec<Vec<Value>>,
 }
-
-/// Bound on [`Interp::resolve_memo`]: adversarial workloads that keep
-/// instantiating fresh constructor environments flush the table instead
-/// of growing it without limit.
-const RESOLVE_MEMO_CAP: usize = 1 << 16;
 
 impl<'a> Interp<'a> {
     pub fn new(
@@ -75,7 +65,7 @@ impl<'a> Interp<'a> {
             builtins,
             cx: Cx::new(),
             eval_stats: crate::vm::EvalStats::default(),
-            resolve_memo: HashMap::new(),
+            resolve_memo: crate::vm::ResolveMemo::default(),
             builtin_vals: HashMap::new(),
             vec_pool: Vec::new(),
         }
@@ -114,20 +104,6 @@ impl<'a> Interp<'a> {
         let v = Value::Builtin(Rc::new(app));
         self.builtin_vals.insert(x, v.clone());
         Some(Ok(v))
-    }
-
-    /// Memo insert for [`crate::vm`]'s resolver, bounded by
-    /// [`RESOLVE_MEMO_CAP`].
-    pub(crate) fn memo_resolution(
-        &mut self,
-        key: (RCon, usize),
-        pin: crate::vm::ConsEnv,
-        out: RCon,
-    ) {
-        if self.resolve_memo.len() >= RESOLVE_MEMO_CAP {
-            self.resolve_memo.clear();
-        }
-        self.resolve_memo.insert(key, (pin, out));
     }
 
     /// Substitutes the runtime constructor bindings of `venv` into `c` and

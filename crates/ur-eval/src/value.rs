@@ -96,7 +96,13 @@ pub struct BuiltinApp {
 /// A document tree — the runtime form of the typed `xml ctx` family.
 /// Strings enter only through `Text`, which is escaped at render time, so
 /// a constructed tree can never inject markup.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// Subtrees are shared: `xcat` and the tag builtins wrap their operands'
+/// `Rc`s instead of copying the trees, so folding `xcat` over `n` rows
+/// builds an `n`-node page in O(n). Such a fold nests `n` deep, which is
+/// why [`XmlVal::render`] and `Drop` walk the tree with an explicit
+/// stack rather than recursion.
+#[derive(Clone, Debug)]
 pub enum XmlVal {
     /// The empty document.
     Empty,
@@ -106,50 +112,76 @@ pub enum XmlVal {
     Tag {
         name: String,
         attrs: Vec<(String, String)>,
-        children: Vec<XmlVal>,
+        children: Vec<Rc<XmlVal>>,
     },
     /// Concatenation.
-    Seq(Vec<XmlVal>),
+    Seq(Vec<Rc<XmlVal>>),
 }
 
 impl XmlVal {
     /// Renders to HTML text with all text nodes and attribute values
     /// escaped.
     pub fn render(&self) -> String {
+        /// Pending work: a node still to open, or a tag still to close.
+        enum Step<'a> {
+            Node(&'a XmlVal),
+            Close(&'a str),
+        }
         let mut out = String::new();
-        self.render_into(&mut out);
+        let mut todo = vec![Step::Node(self)];
+        while let Some(step) = todo.pop() {
+            let node = match step {
+                Step::Node(node) => node,
+                Step::Close(name) => {
+                    out.push_str("</");
+                    out.push_str(name);
+                    out.push('>');
+                    continue;
+                }
+            };
+            match node {
+                XmlVal::Empty => {}
+                XmlVal::Text(t) => out.push_str(&escape_text(t)),
+                XmlVal::Tag {
+                    name,
+                    attrs,
+                    children,
+                } => {
+                    out.push('<');
+                    out.push_str(name);
+                    for (k, v) in attrs {
+                        out.push(' ');
+                        out.push_str(k);
+                        out.push_str("=\"");
+                        out.push_str(&escape_attr(v));
+                        out.push('"');
+                    }
+                    out.push('>');
+                    todo.push(Step::Close(name));
+                    todo.extend(children.iter().rev().map(|c| Step::Node(c)));
+                }
+                XmlVal::Seq(items) => todo.extend(items.iter().rev().map(|i| Step::Node(i))),
+            }
+        }
         out
     }
+}
 
-    fn render_into(&self, out: &mut String) {
-        match self {
-            XmlVal::Empty => {}
-            XmlVal::Text(t) => out.push_str(&escape_text(t)),
-            XmlVal::Tag {
-                name,
-                attrs,
-                children,
-            } => {
-                out.push('<');
-                out.push_str(name);
-                for (k, v) in attrs {
-                    out.push(' ');
-                    out.push_str(k);
-                    out.push_str("=\"");
-                    out.push_str(&escape_attr(v));
-                    out.push('"');
-                }
-                out.push('>');
-                for c in children {
-                    c.render_into(out);
-                }
-                out.push_str("</");
-                out.push_str(name);
-                out.push('>');
-            }
-            XmlVal::Seq(items) => {
-                for i in items {
-                    i.render_into(out);
+impl Drop for XmlVal {
+    /// Frees uniquely owned subtrees from an explicit stack: the derived
+    /// drop would recurse once per nesting level.
+    fn drop(&mut self) {
+        let mut todo = match self {
+            XmlVal::Tag { children, .. } => std::mem::take(children),
+            XmlVal::Seq(items) => std::mem::take(items),
+            XmlVal::Empty | XmlVal::Text(_) => return,
+        };
+        while let Some(child) = todo.pop() {
+            if let Ok(mut node) = Rc::try_unwrap(child) {
+                match &mut node {
+                    XmlVal::Tag { children, .. } => todo.append(children),
+                    XmlVal::Seq(items) => todo.append(items),
+                    XmlVal::Empty | XmlVal::Text(_) => {}
                 }
             }
         }
@@ -278,7 +310,7 @@ impl Value {
         }
     }
 
-    pub fn as_xml(&self) -> Result<&XmlVal, EvalError> {
+    pub fn as_xml(&self) -> Result<&Rc<XmlVal>, EvalError> {
         match self {
             Value::Xml(x) => Ok(x),
             other => Err(Value::mismatch("xml", other)),
@@ -364,7 +396,7 @@ mod tests {
         let x = XmlVal::Tag {
             name: "td".into(),
             attrs: vec![],
-            children: vec![XmlVal::Text("<b>bold?</b>".into())],
+            children: vec![Rc::new(XmlVal::Text("<b>bold?</b>".into()))],
         };
         assert_eq!(x.render(), "<td>&lt;b&gt;bold?&lt;/b&gt;</td>");
     }
@@ -382,11 +414,28 @@ mod tests {
     #[test]
     fn xml_seq_and_empty() {
         let x = XmlVal::Seq(vec![
-            XmlVal::Text("a".into()),
-            XmlVal::Empty,
-            XmlVal::Text("b".into()),
+            Rc::new(XmlVal::Text("a".into())),
+            Rc::new(XmlVal::Empty),
+            Rc::new(XmlVal::Text("b".into())),
         ]);
         assert_eq!(x.render(), "ab");
+    }
+
+    #[test]
+    fn xml_render_nests_tags_in_order() {
+        let td = |s: &str| {
+            Rc::new(XmlVal::Tag {
+                name: "td".into(),
+                attrs: vec![],
+                children: vec![Rc::new(XmlVal::Text(s.into()))],
+            })
+        };
+        let x = XmlVal::Tag {
+            name: "tr".into(),
+            attrs: vec![],
+            children: vec![Rc::new(XmlVal::Seq(vec![td("a"), td("b")])), td("c")],
+        };
+        assert_eq!(x.render(), "<tr><td>a</td><td>b</td><td>c</td></tr>");
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::error::{EvalError, EvalErrorKind};
 use crate::interp::Interp;
 use crate::value::{VEnv, Value};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -84,12 +84,6 @@ pub struct VmFn {
     /// Lazily materialized `Rc<str>` forms of `chunk.names` — one
     /// allocation per name per closure instead of per record operation.
     name_cache: RefCell<Box<[Option<Rc<str>>]>>,
-    /// The last constructor-application frame, reused when the same
-    /// constructor argument arrives again. Metaprograms instantiated in
-    /// a loop pass identical arguments every iteration; reusing the
-    /// frame keeps the extended environment pointer-stable, which is
-    /// what lets [`Interp::resolve_memo`] hit across iterations.
-    last_capply: RefCell<Option<(RCon, ConsEnv)>>,
     /// Precomputed shortcut for the curried two-argument shape
     /// `fn x => fn y => e`: when the body is exactly `[Closure(0), Ret]`,
     /// [`Op::Call2`] can run the inner chunk directly, skipping both the
@@ -157,7 +151,6 @@ impl VmFn {
             cons,
             globals,
             name_cache,
-            last_capply: RefCell::new(None),
             curried,
         }
     }
@@ -230,18 +223,81 @@ pub(crate) fn call2(
     interp.apply(g, b)
 }
 
+/// Bound on [`ResolveMemo`]: adversarial workloads that keep resolving
+/// fresh constructors flush the tables instead of growing them without
+/// limit.
+const RESOLVE_MEMO_CAP: usize = 1 << 16;
+
+/// The VM's constructor-resolution memo, keyed by *content*: a
+/// constructor plus the binding (or absence of one) of every variable
+/// [`resolve_con`] reads for it. Render loops resolve the same names
+/// under a fresh constructor environment per row, but with the same
+/// bindings, so after the first row resolution is one hash lookup
+/// instead of a substitution + normalization pass.
+#[derive(Default)]
+pub(crate) struct ResolveMemo {
+    resolved: HashMap<(RCon, Vec<Option<RCon>>), RCon>,
+    /// `fv(c)` per constructor, sorted by symbol so that key order is a
+    /// function of the constructor alone.
+    free: HashMap<RCon, Rc<[Sym]>>,
+}
+
+impl ResolveMemo {
+    fn free_vars(&mut self, c: RCon) -> Rc<[Sym]> {
+        let free = self.free.entry(c).or_insert_with(|| {
+            let mut vs: Vec<Sym> = fv(&c).into_iter().collect();
+            vs.sort_unstable();
+            vs.into()
+        });
+        Rc::clone(free)
+    }
+
+    /// The memo key for `c` under `cons`: the binding of each free
+    /// variable of `c`, then of each free variable of those bindings,
+    /// transitively — exactly the lookups the substitution loop can
+    /// make. The visiting order depends only on `c` and the bindings
+    /// found, so equal keys mean the loop reads equal bindings, and
+    /// environments that bind different variables to one constructor
+    /// get different keys.
+    fn key(&mut self, cons: &ConsEnv, c: RCon) -> (RCon, Vec<Option<RCon>>) {
+        if !c.flags().has_var() {
+            return (c, Vec::new());
+        }
+        let free = self.free_vars(c);
+        let mut bindings = Vec::with_capacity(free.len());
+        // Variables reached only through bindings, in visiting order.
+        let mut reached: Vec<Sym> = Vec::new();
+        let mut i = 0;
+        while let Some(&v) = free.get(i).or_else(|| reached.get(i - free.len())) {
+            i += 1;
+            let b = cons_lookup(cons, v);
+            bindings.push(b);
+            if let Some(r) = b.filter(|r| r.flags().has_var()) {
+                for w in self.free_vars(r).iter() {
+                    if !free.contains(w) && !reached.contains(w) {
+                        reached.push(*w);
+                    }
+                }
+            }
+        }
+        (c, bindings)
+    }
+
+    fn insert(&mut self, key: (RCon, Vec<Option<RCon>>), out: RCon) {
+        if self.resolved.len() >= RESOLVE_MEMO_CAP || self.free.len() >= RESOLVE_MEMO_CAP {
+            self.resolved.clear();
+            self.free.clear();
+        }
+        self.resolved.insert(key, out);
+    }
+}
+
 /// Resolves runtime constructor bindings into `c` and head-normalizes —
-/// the VM-side mirror of [`Interp::resolve_con`].
-///
-/// Memoized on the interpreter by `(c, head pointer of cons)`: the
-/// binding list is immutable and the memo entry pins its head `Rc`, so
-/// a pointer match proves the environment is the same one the result
-/// was computed under. Render loops re-resolve the same names under the
-/// same environments every iteration; after the first, resolution is
-/// one hash lookup instead of a substitution + normalization pass.
+/// the VM-side mirror of [`Interp::resolve_con`], memoized in
+/// [`ResolveMemo`].
 fn resolve_con(interp: &mut Interp<'_>, cons: &ConsEnv, c: RCon) -> RCon {
-    let key = (c, cons.as_ref().map_or(0, |rc| Rc::as_ptr(rc) as usize));
-    if let Some((_, out)) = interp.resolve_memo.get(&key) {
+    let key = interp.resolve_memo.key(cons, c);
+    if let Some(out) = interp.resolve_memo.resolved.get(&key) {
         return *out;
     }
     let mut out = c;
@@ -259,7 +315,7 @@ fn resolve_con(interp: &mut Interp<'_>, cons: &ConsEnv, c: RCon) -> RCon {
         }
     }
     out = hnf(interp.genv, &mut interp.cx, &out);
-    interp.memo_resolution(key, cons.clone(), out);
+    interp.resolve_memo.insert(key, out);
     out
 }
 
@@ -379,21 +435,11 @@ pub fn call(interp: &mut Interp<'_>, f: &VmFn, arg: Value) -> Result<Value, Eval
 /// (Entry point for [`Interp::capply`].)
 pub fn capply(interp: &mut Interp<'_>, f: &VmFn, c: RCon) -> Result<Value, EvalError> {
     let cons = match f.chunk.cparam {
-        Some(a) => {
-            let mut memo = f.last_capply.borrow_mut();
-            match &*memo {
-                Some((prev, env)) if *prev == c => env.clone(),
-                _ => {
-                    let env = Some(Rc::new(ConsFrame {
-                        sym: a,
-                        con: c,
-                        next: f.cons.clone(),
-                    }));
-                    *memo = Some((c, env.clone()));
-                    env
-                }
-            }
-        }
+        Some(a) => Some(Rc::new(ConsFrame {
+            sym: a,
+            con: c,
+            next: f.cons.clone(),
+        })),
         None => f.cons.clone(),
     };
     exec(
@@ -893,6 +939,58 @@ mod tests {
         // And an unbound global is the interpreter's error, kind and all.
         let err = run(&mut interp, &chunk, &VEnv::new()).unwrap_err();
         assert_eq!(err.kind, EvalErrorKind::UnboundVar);
+    }
+
+    fn bind(sym: Sym, con: RCon, next: ConsEnv) -> ConsEnv {
+        Some(Rc::new(ConsFrame { sym, con, next }))
+    }
+
+    #[test]
+    fn resolution_memo_keys_bindings_per_variable() {
+        // Two environments bind *different* variables to the same
+        // constructor; a key that kept only the bound values would
+        // collide and hand the second lookup the first one's answer.
+        let (a, b) = (Sym::fresh("a"), Sym::fresh("b"));
+        let c = Con::pair(Con::var(&a), Con::var(&b));
+        let genv = Env::new();
+        let builtins = HashMap::new();
+        let mut world = World::new();
+        let mut interp = Interp::new(&mut world, &genv, &builtins);
+        let only_a = bind(a, Con::name("X"), None);
+        let only_b = bind(b, Con::name("X"), None);
+        for _ in 0..2 {
+            assert_eq!(
+                resolve_con(&mut interp, &only_a, c),
+                Con::pair(Con::name("X"), Con::var(&b))
+            );
+            assert_eq!(
+                resolve_con(&mut interp, &only_b, c),
+                Con::pair(Con::var(&a), Con::name("X"))
+            );
+        }
+        // Content, not identity: a fresh frame with equal bindings hits.
+        let entries = interp.resolve_memo.resolved.len();
+        let again = bind(a, Con::name("X"), None);
+        assert_eq!(
+            resolve_con(&mut interp, &again, c),
+            Con::pair(Con::name("X"), Con::var(&b))
+        );
+        assert_eq!(interp.resolve_memo.resolved.len(), entries);
+    }
+
+    #[test]
+    fn resolution_memo_covers_bindings_of_bindings() {
+        // `a` resolves through `b`: the key must include what `b` is
+        // bound to, not only `a`'s own binding.
+        let (a, b) = (Sym::fresh("a"), Sym::fresh("b"));
+        let genv = Env::new();
+        let builtins = HashMap::new();
+        let mut world = World::new();
+        let mut interp = Interp::new(&mut world, &genv, &builtins);
+        for n in ["X", "Y"] {
+            let env = bind(a, Con::var(&b), bind(b, Con::name(n), None));
+            assert_eq!(resolve_con(&mut interp, &env, Con::var(&a)), Con::name(n));
+        }
     }
 
     #[test]

@@ -14,6 +14,7 @@
 use crate::ast::*;
 use crate::lex::{lex, LexError, SpannedTok, Tok};
 use std::fmt;
+use std::sync::mpsc;
 
 /// Parse errors, carrying the offending position.
 #[derive(Clone, Debug, PartialEq)]
@@ -70,33 +71,71 @@ const PARSER_STACK_BYTES: usize = 16 * 1024 * 1024;
 
 const TOO_DEEP_MSG: &str = "nesting too deep";
 
+/// A job for the parser-stack thread.
+type ParseJob = Box<dyn FnOnce() + Send>;
+
+thread_local! {
+    /// The calling thread's parked parser-stack thread, spawned on first
+    /// use. Dropping the sender when the caller exits ends the worker.
+    static PARSER_THREAD: std::cell::RefCell<Option<mpsc::Sender<ParseJob>>> =
+        const { std::cell::RefCell::new(None) };
+}
+
+fn spawn_parser_thread() -> Option<mpsc::Sender<ParseJob>> {
+    let (tx, rx) = mpsc::channel::<ParseJob>();
+    std::thread::Builder::new()
+        .name("ur-parse".into())
+        .stack_size(PARSER_STACK_BYTES)
+        .spawn(move || {
+            for job in rx {
+                job();
+            }
+        })
+        .ok()?;
+    Some(tx)
+}
+
 /// Runs `f` on a thread with a parser-sized stack, so the depth guard —
 /// not the caller's (possibly 2 MiB test-runner) stack — is what bounds
-/// recursion. Falls back to a structured error if the thread cannot be
-/// spawned or the parser panics; callers never see a panic.
+/// recursion. Each calling thread keeps one such thread parked between
+/// parses, so a parse costs a hand-off rather than a thread spawn.
+/// Falls back to a structured error if the thread cannot be spawned or
+/// the parser panics; callers never see a panic.
 fn on_parser_stack<T, F>(f: F) -> PResult<T>
 where
-    T: Send,
-    F: FnOnce() -> PResult<T> + Send,
+    T: Send + 'static,
+    F: FnOnce() -> PResult<T> + Send + 'static,
 {
-    std::thread::scope(|scope| {
-        let spawned = std::thread::Builder::new()
-            .name("ur-parse".into())
-            .stack_size(PARSER_STACK_BYTES)
-            .spawn_scoped(scope, f);
-        match spawned {
-            Ok(handle) => handle.join().unwrap_or_else(|_| {
-                Err(ParseError {
-                    span: Span::default(),
-                    message: "internal parser error".into(),
-                })
-            }),
-            Err(_) => Err(ParseError {
-                span: Span::default(),
-                message: "could not allocate parser stack".into(),
-            }),
+    let (done, result) = mpsc::sync_channel(1);
+    let job: ParseJob = Box::new(move || {
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+        let _ = done.send(r);
+    });
+    let sent = PARSER_THREAD.try_with(|slot| {
+        let mut slot = slot.borrow_mut();
+        if slot.is_none() {
+            *slot = spawn_parser_thread();
         }
-    })
+        let sent = slot.as_ref().is_some_and(|tx| tx.send(job).is_ok());
+        if !sent {
+            // Respawn on the next parse.
+            *slot = None;
+        }
+        sent
+    });
+    if sent != Ok(true) {
+        return Err(ParseError {
+            span: Span::default(),
+            message: "could not allocate parser stack".into(),
+        });
+    }
+    match result.recv() {
+        Ok(Ok(r)) => r,
+        _ => Err(ParseError {
+            span: Span::default(),
+            message: "internal parser error".into(),
+        }),
+    }
 }
 
 type PResult<T> = Result<T, ParseError>;
@@ -107,8 +146,9 @@ type PResult<T> = Result<T, ParseError>;
 ///
 /// Returns the first lexing or parsing error encountered.
 pub fn parse_program(src: &str) -> PResult<Program> {
-    on_parser_stack(|| {
-        let toks = lex(src)?;
+    let src = src.to_owned();
+    on_parser_stack(move || {
+        let toks = lex(&src)?;
         let mut p = Parser { toks, pos: 0, depth: 0 };
         let mut decls = Vec::new();
         while p.peek() != &Tok::Eof {
@@ -124,8 +164,9 @@ pub fn parse_program(src: &str) -> PResult<Program> {
 ///
 /// Returns the first lexing or parsing error encountered.
 pub fn parse_expr(src: &str) -> PResult<SExpr> {
-    on_parser_stack(|| {
-        let toks = lex(src)?;
+    let src = src.to_owned();
+    on_parser_stack(move || {
+        let toks = lex(&src)?;
         let mut p = Parser { toks, pos: 0, depth: 0 };
         let e = p.expr()?;
         p.expect(Tok::Eof)?;
@@ -139,8 +180,9 @@ pub fn parse_expr(src: &str) -> PResult<SExpr> {
 ///
 /// Returns the first lexing or parsing error encountered.
 pub fn parse_con(src: &str) -> PResult<SCon> {
-    on_parser_stack(|| {
-        let toks = lex(src)?;
+    let src = src.to_owned();
+    on_parser_stack(move || {
+        let toks = lex(&src)?;
         let mut p = Parser { toks, pos: 0, depth: 0 };
         let c = p.con()?;
         p.expect(Tok::Eof)?;
@@ -1013,6 +1055,27 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parser_stack_thread_is_reused_per_caller() {
+        let here = std::thread::current().id();
+        let first = on_parser_stack(|| Ok(std::thread::current().id())).unwrap();
+        let second = on_parser_stack(|| Ok(std::thread::current().id())).unwrap();
+        assert_ne!(first, here);
+        assert_eq!(first, second);
+        let other = std::thread::spawn(|| on_parser_stack(|| Ok(std::thread::current().id())))
+            .join()
+            .unwrap()
+            .unwrap();
+        assert_ne!(other, first);
+    }
+
+    #[test]
+    fn parser_panic_is_an_error_and_the_thread_survives() {
+        let err = on_parser_stack::<(), _>(|| panic!("boom")).unwrap_err();
+        assert_eq!(err.message, "internal parser error");
+        assert!(parse_expr("1 + 2").is_ok());
+    }
 
     #[test]
     fn parse_paper_proj_declaration() {

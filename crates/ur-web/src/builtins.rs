@@ -64,16 +64,12 @@ pub fn db_to_value(v: &DbVal, ty: &ColTy) -> Value {
     }
 }
 
-fn xml1(v: &Value) -> Result<XmlVal, EvalError> {
-    Ok(v.as_xml()?.clone())
-}
-
 fn tag(map: &mut HashMap<String, Rc<Builtin>>, builtin: &str, element: &'static str) {
     bi(map, builtin, 0, 1, move |_, _, args| {
         Ok(Value::Xml(Rc::new(XmlVal::Tag {
             name: element.to_string(),
             attrs: vec![],
-            children: vec![xml1(&args[0])?],
+            children: vec![Rc::clone(args[0].as_xml()?)],
         })))
     });
 }
@@ -301,8 +297,8 @@ pub fn registry() -> HashMap<String, Rc<Builtin>> {
     });
     bi(&mut m, "xcat", 1, 2, |_, _, a| {
         Ok(Value::Xml(Rc::new(XmlVal::Seq(vec![
-            xml1(&a[0])?,
-            xml1(&a[1])?,
+            Rc::clone(a[0].as_xml()?),
+            Rc::clone(a[1].as_xml()?),
         ]))))
     });
     tag(&mut m, "tagTable", "table");
@@ -331,7 +327,7 @@ pub fn registry() -> HashMap<String, Rc<Builtin>> {
         Ok(Value::Xml(Rc::new(XmlVal::Tag {
             name: "button".into(),
             attrs: vec![],
-            children: vec![XmlVal::Text(a[0].as_str()?.to_string())],
+            children: vec![Rc::new(XmlVal::Text(a[0].as_str()?.to_string()))],
         })))
     });
     bi(&mut m, "renderXml", 1, 1, |_, _, a| {
@@ -616,6 +612,34 @@ mod tests {
             db_to_value(&DbVal::Null, &nullable),
             Value::Opt(None)
         ));
+    }
+
+    #[test]
+    fn xcat_and_tags_share_their_operands() {
+        let reg = registry();
+        let genv = ur_core::env::Env::new();
+        let builtins = HashMap::new();
+        let mut world = ur_eval::World::new();
+        let mut interp = Interp::new(&mut world, &genv, &builtins);
+        let mut run = |name: &str, args: &[Value]| (reg[name].run)(&mut interp, &[], args).unwrap();
+        let a = run("cdata", &[Value::str("a")]);
+        let b = run("cdata", &[Value::str("<b>")]);
+        let cat = run("xcat", &[a.clone(), b.clone()]);
+        let td = run("tagTd", std::slice::from_ref(&cat));
+        let (a, b, cat, td) = (
+            a.as_xml().unwrap(),
+            b.as_xml().unwrap(),
+            cat.as_xml().unwrap(),
+            td.as_xml().unwrap(),
+        );
+        match (&**cat, &**td) {
+            (XmlVal::Seq(items), XmlVal::Tag { children, .. }) => {
+                assert!(Rc::ptr_eq(&items[0], a) && Rc::ptr_eq(&items[1], b));
+                assert!(Rc::ptr_eq(&children[0], cat));
+            }
+            other => panic!("unexpected shapes {other:?}"),
+        }
+        assert_eq!(td.render(), "<td>a&lt;b&gt;</td>");
     }
 
     #[test]

@@ -145,8 +145,8 @@ pub struct Session {
 
 /// Bound on [`Session::chunk_cache`]: a long-lived session evaluating
 /// ever-fresh bodies (a REPL, a serve loop) flushes the cache instead of
-/// growing it without limit — the same policy the interpreter applies to
-/// its resolution memo.
+/// growing it without limit — the same policy the VM applies to its
+/// resolution memo.
 const CHUNK_CACHE_CAP: usize = 1 << 10;
 
 impl Session {

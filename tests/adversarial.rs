@@ -330,6 +330,38 @@ fn parse_error_in_multi_mode_is_a_single_diagnostic() {
     assert!(matches!(diags[0].code, Code::Parse | Code::ParseTooDeep));
 }
 
+// ---------------- deep runtime values ----------------
+
+#[test]
+fn million_deep_xml_chain_evaluates_renders_and_drops_on_a_small_stack() {
+    // Twenty rounds of `appendList` doubling make a 2^20-element list; a
+    // left fold of `xcat` over it nests the page 2^20 deep. Evaluating,
+    // rendering and freeing it must all fit a 2 MiB stack.
+    let start = Instant::now();
+    let rendered = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(|| {
+            let mut src = String::from("let val l0 = cons 1 nil ");
+            for i in 1..=20 {
+                src.push_str(&format!("val l{i} = appendList l{0} l{0} ", i - 1));
+            }
+            src.push_str(
+                "in foldList (fn (x : int) (acc : xml #p) => xcat acc (cdata \"x\")) \
+                 xempty l20 end",
+            );
+            let mut sess = ur::Session::new().expect("prelude installs");
+            let page = sess.eval(&src).expect("the fold evaluates");
+            let len = page.as_xml().expect("an xml value").render().len();
+            drop(page);
+            len
+        })
+        .expect("spawn a 2 MiB thread")
+        .join()
+        .expect("no stack overflow");
+    assert_eq!(rendered, 1 << 20);
+    assert_bounded(start, "a 2^20-deep xml chain");
+}
+
 // ---------------- session survival ----------------
 
 #[test]
