@@ -102,6 +102,12 @@ pub struct Stats {
     pub eval_chunk_hits: u64,
     /// Wall-clock nanoseconds spent inside top-level VM dispatch loops.
     pub eval_dispatch_ns: u64,
+    /// `eval` requests served by a prepared function of their shape,
+    /// with no elaboration.
+    pub eval_prepared_hits: u64,
+    /// `eval` requests that were elaborated: the first of each shape,
+    /// and those whose shape does not parse or elaborate.
+    pub eval_prepared_misses: u64,
     /// Connections accepted by the `ur-serve` front door (the serve
     /// layer folds its cross-thread gauges into snapshots it hands out;
     /// zero outside `--listen`/`--serve`).
@@ -230,6 +236,12 @@ impl Stats {
                 .saturating_sub(earlier.eval_chunks_compiled),
             eval_chunk_hits: self.eval_chunk_hits.saturating_sub(earlier.eval_chunk_hits),
             eval_dispatch_ns: self.eval_dispatch_ns.saturating_sub(earlier.eval_dispatch_ns),
+            eval_prepared_hits: self
+                .eval_prepared_hits
+                .saturating_sub(earlier.eval_prepared_hits),
+            eval_prepared_misses: self
+                .eval_prepared_misses
+                .saturating_sub(earlier.eval_prepared_misses),
             srv_accepted: self.srv_accepted.saturating_sub(earlier.srv_accepted),
             srv_requests: self.srv_requests.saturating_sub(earlier.srv_requests),
             srv_shed: self.srv_shed.saturating_sub(earlier.srv_shed),
@@ -324,13 +336,16 @@ impl fmt::Display for Stats {
         )?;
         write!(
             f,
-            " eval[vm_runs={} interp_runs={} ops={} chunks={} chunk_hits={} dispatch_ns={}]",
+            " eval[vm_runs={} interp_runs={} ops={} chunks={} chunk_hits={} dispatch_ns={} \
+             prepared_hits={} prepared_misses={}]",
             self.eval_vm_runs,
             self.eval_interp_runs,
             self.eval_vm_ops,
             self.eval_chunks_compiled,
             self.eval_chunk_hits,
             self.eval_dispatch_ns,
+            self.eval_prepared_hits,
+            self.eval_prepared_misses,
         )?;
         write!(
             f,
@@ -461,6 +476,8 @@ mod tests {
             "chunks=",
             "chunk_hits=",
             "dispatch_ns=",
+            "prepared_hits=",
+            "prepared_misses=",
         ] {
             assert!(s.contains(key), "missing {key} in {s}");
         }
@@ -475,10 +492,13 @@ mod tests {
         a.eval_chunks_compiled = 4;
         a.eval_chunk_hits = 6;
         a.eval_dispatch_ns = 123;
+        a.eval_prepared_hits = 40;
+        a.eval_prepared_misses = 5;
         let mut b = Stats::new();
         b.eval_vm_runs = 2;
         b.eval_vm_ops = 10;
         b.eval_chunks_compiled = 4;
+        b.eval_prepared_hits = 15;
 
         let d = a.since(&b);
         assert_eq!(d.eval_vm_runs, 5);
@@ -487,8 +507,11 @@ mod tests {
         assert_eq!(d.eval_chunks_compiled, 0);
         assert_eq!(d.eval_chunk_hits, 6);
         assert_eq!(d.eval_dispatch_ns, 123);
+        assert_eq!(d.eval_prepared_hits, 25);
+        assert_eq!(d.eval_prepared_misses, 5);
         let d2 = b.since(&a);
         assert_eq!(d2.eval_vm_runs, 0, "saturating sub");
+        assert_eq!(d2.eval_prepared_hits, 0, "saturating sub");
     }
 
     #[test]

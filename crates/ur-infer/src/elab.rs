@@ -303,12 +303,17 @@ impl Elaborator {
     /// global environment, running the full inference pipeline (constraint
     /// draining, folder generation, finalization).
     ///
+    /// Like a declaration, every call starts on a fresh fuel budget, so a
+    /// long-lived session never runs out of fuel across calls.
+    ///
     /// # Errors
     ///
     /// Returns the first parse or elaboration error.
     pub fn elab_expr_source(&mut self, src: &str) -> EResult<(RExpr, RCon)> {
         let se = ur_syntax::parse_expr(src).map_err(parse_to_elab)?;
-        let out = self.elab_expr_parsed(&se);
+        self.cx.fuel.reset();
+        let env = self.genv.clone();
+        let out = self.elab_expr_parsed(&env, &se);
         if out.is_err() {
             self.reset_transient();
             self.cx.fuel.reset();
@@ -316,9 +321,51 @@ impl Elaborator {
         out
     }
 
-    fn elab_expr_parsed(&mut self, se: &SExpr) -> EResult<(RExpr, RCon)> {
-        let env = self.genv.clone();
-        let (ee, ty) = self.elab_expr(&env, se, None)?;
+    /// Elaborates a parsed expression in which each name of `holes`
+    /// stands for a literal of the paired type (the type
+    /// [`literal_type`] gives it), and returns the closed function over
+    /// the holes, in order: `fn h1 => ... fn hn => e`. Applied to literal
+    /// values it computes what `e` with those literals in place of the
+    /// holes does. Hole names must be ones the lexer cannot produce, so
+    /// that no source binder shadows them. Fuel and failure handling are
+    /// those of [`elab_expr_source`](Self::elab_expr_source).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first elaboration error.
+    pub fn elab_expr_over_holes(
+        &mut self,
+        se: &SExpr,
+        holes: &[(String, RCon)],
+    ) -> EResult<RExpr> {
+        self.cx.fuel.reset();
+        let mut env = self.genv.clone();
+        self.push_frame();
+        let mut syms = Vec::with_capacity(holes.len());
+        for (name, ty) in holes {
+            let sym = Sym::fresh(name.as_str());
+            self.bind_scope(name, Entry::Val(sym));
+            env.bind_val(sym, *ty);
+            syms.push(sym);
+        }
+        let out = self.elab_expr_parsed(&env, se);
+        self.pop_frame();
+        match out {
+            Ok((body, _ty)) => Ok(syms
+                .iter()
+                .zip(holes)
+                .rev()
+                .fold(body, |f, (sym, (_, ty))| Expr::lam(*sym, *ty, f))),
+            Err(e) => {
+                self.reset_transient();
+                self.cx.fuel.reset();
+                Err(e)
+            }
+        }
+    }
+
+    fn elab_expr_parsed(&mut self, env: &Env, se: &SExpr) -> EResult<(RExpr, RCon)> {
+        let (ee, ty) = self.elab_expr(env, se, None)?;
         let span = se.span();
         self.drain()?;
         let subs = self.fill_folders()?;
@@ -776,15 +823,14 @@ impl Elaborator {
             | SExpr::Var(_, _)
             | SExpr::Explicit(_, _) => self.elab_spine(env, e, mode),
             SExpr::Lit(span, l) => {
-                let (le, ty) = match l {
-                    SLit::Int(n) => (Lit::Int(*n), Con::int()),
-                    SLit::Float(x) => (Lit::Float(*x), Con::float()),
-                    SLit::Str(s) => (Lit::Str(s.as_str().into()), Con::string()),
-                    SLit::Bool(b) => (Lit::Bool(*b), Con::bool_()),
-                    SLit::Unit => (Lit::Unit, Con::unit()),
+                let le = match l {
+                    SLit::Int(n) => Lit::Int(*n),
+                    SLit::Float(x) => Lit::Float(*x),
+                    SLit::Str(s) => Lit::Str(s.as_str().into()),
+                    SLit::Bool(b) => Lit::Bool(*b),
+                    SLit::Unit => Lit::Unit,
                 };
-                let ee = Expr::lit(le);
-                self.finish_mode(env, *span, ee, ty, mode)
+                self.finish_mode(env, *span, Expr::lit(le), literal_type(l), mode)
             }
             SExpr::Fn(span, params, body) => match mode {
                 Some(expected) => self.check_fn(env, *span, params, body, expected),
@@ -2040,6 +2086,17 @@ pub(crate) fn binop_name(op: &str) -> Option<&'static str> {
         "||" => "orb",
         _ => return None,
     })
+}
+
+/// The type the literal rule gives a surface literal.
+pub fn literal_type(l: &SLit) -> RCon {
+    match l {
+        SLit::Int(_) => Con::int(),
+        SLit::Float(_) => Con::float(),
+        SLit::Str(_) => Con::string(),
+        SLit::Bool(_) => Con::bool_(),
+        SLit::Unit => Con::unit(),
+    }
 }
 
 // ---------------- finalization ----------------

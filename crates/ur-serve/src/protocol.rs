@@ -354,6 +354,19 @@ mod tests {
     }
 
     #[test]
+    fn stats_response_counts_prepared_evals() {
+        let mut s = sess();
+        let mut ctx = ReqCtx::new(None);
+        for expr in ["1 + 2", "3 + 4", "\"a\" ^ \"b\""] {
+            let line = format!("{{\"cmd\":\"eval\",\"expr\":\"{}\"}}", escape(expr));
+            let (resp, _) = handle_line(&mut s, &mut ctx, &line, None);
+            assert!(resp.contains("\"ok\":true"), "{resp}");
+        }
+        let (resp, _) = handle_line(&mut s, &mut ctx, "{\"cmd\":\"stats\"}", None);
+        assert!(resp.contains("prepared_hits=1 prepared_misses=2"), "{resp}");
+    }
+
+    #[test]
     fn structured_responses_are_wellformed() {
         assert!(oversize_response().contains("limit"));
         let o = overloaded_response(50, false);

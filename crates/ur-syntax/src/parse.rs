@@ -59,10 +59,16 @@ impl From<ParseError> for crate::diag::Diagnostic {
 /// nesting level costs several grammar-cascade stack frames (expression →
 /// binop chain → application → atom), each of which is kilobyte-sized in
 /// debug builds — tens of kilobytes of stack per level in the worst case.
-/// The entry points therefore run on a dedicated [`PARSER_STACK_BYTES`]
-/// thread, independent of the caller's stack, and 200 levels keep the
-/// worst case under ~1/3 of it.
+/// Inputs nested deeper than [`INLINE_PARSE_DEPTH`] are therefore parsed
+/// on a dedicated [`PARSER_STACK_BYTES`] thread, independent of the
+/// caller's stack, and 200 levels keep the worst case under ~1/3 of it.
 pub const MAX_PARSE_DEPTH: usize = 200;
+
+/// Nesting budget of the first parse, which runs on the caller's own
+/// stack: ~800 KiB in the worst case in debug builds, well inside a
+/// 2 MiB thread. Almost every real input fits, and skips the hand-off
+/// to the parser-stack thread.
+const INLINE_PARSE_DEPTH: usize = 32;
 
 /// Stack size of the dedicated parsing thread. The recursive-descent
 /// cascade costs up to ~25 KiB of stack per nesting level in debug
@@ -98,7 +104,7 @@ fn spawn_parser_thread() -> Option<mpsc::Sender<ParseJob>> {
 /// Runs `f` on a thread with a parser-sized stack, so the depth guard —
 /// not the caller's (possibly 2 MiB test-runner) stack — is what bounds
 /// recursion. Each calling thread keeps one such thread parked between
-/// parses, so a parse costs a hand-off rather than a thread spawn.
+/// deep parses, so one costs a hand-off rather than a thread spawn.
 /// Falls back to a structured error if the thread cannot be spawned or
 /// the parser panics; callers never see a panic.
 fn on_parser_stack<T, F>(f: F) -> PResult<T>
@@ -140,16 +146,38 @@ where
 
 type PResult<T> = Result<T, ParseError>;
 
+/// Lexes `src` and runs `entry` over its tokens: first on the caller's
+/// stack under [`INLINE_PARSE_DEPTH`], and only if the input nests
+/// deeper than that, again on the parser-stack thread under
+/// [`MAX_PARSE_DEPTH`]. The parse is deterministic and the budget is the
+/// only difference between the two, so the result (E0201 included) is
+/// the one a single parse under the full budget gives.
+fn parse_with<T>(src: &str, entry: fn(&mut Parser) -> PResult<T>) -> PResult<T>
+where
+    T: Send + 'static,
+{
+    let mut p = Parser::new(lex(src)?, INLINE_PARSE_DEPTH);
+    let inline = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| entry(&mut p)));
+    match inline {
+        Ok(r) if !p.over_budget => r,
+        Ok(_) => {
+            let toks = std::mem::take(&mut p.toks);
+            on_parser_stack(move || entry(&mut Parser::new(toks, MAX_PARSE_DEPTH)))
+        }
+        Err(_) => Err(ParseError {
+            span: Span::default(),
+            message: "internal parser error".into(),
+        }),
+    }
+}
+
 /// Parses a full program (a sequence of declarations).
 ///
 /// # Errors
 ///
 /// Returns the first lexing or parsing error encountered.
 pub fn parse_program(src: &str) -> PResult<Program> {
-    let src = src.to_owned();
-    on_parser_stack(move || {
-        let toks = lex(&src)?;
-        let mut p = Parser { toks, pos: 0, depth: 0 };
+    parse_with(src, |p| {
         let mut decls = Vec::new();
         while p.peek() != &Tok::Eof {
             decls.push(p.decl()?);
@@ -164,10 +192,7 @@ pub fn parse_program(src: &str) -> PResult<Program> {
 ///
 /// Returns the first lexing or parsing error encountered.
 pub fn parse_expr(src: &str) -> PResult<SExpr> {
-    let src = src.to_owned();
-    on_parser_stack(move || {
-        let toks = lex(&src)?;
-        let mut p = Parser { toks, pos: 0, depth: 0 };
+    parse_with(src, |p| {
         let e = p.expr()?;
         p.expect(Tok::Eof)?;
         Ok(e)
@@ -180,10 +205,7 @@ pub fn parse_expr(src: &str) -> PResult<SExpr> {
 ///
 /// Returns the first lexing or parsing error encountered.
 pub fn parse_con(src: &str) -> PResult<SCon> {
-    let src = src.to_owned();
-    on_parser_stack(move || {
-        let toks = lex(&src)?;
-        let mut p = Parser { toks, pos: 0, depth: 0 };
+    parse_with(src, |p| {
         let c = p.con()?;
         p.expect(Tok::Eof)?;
         Ok(c)
@@ -194,9 +216,23 @@ struct Parser {
     toks: Vec<SpannedTok>,
     pos: usize,
     depth: usize,
+    /// Nesting levels this parse may use.
+    budget: usize,
+    /// Set once the parse has gone over `budget`.
+    over_budget: bool,
 }
 
 impl Parser {
+    fn new(toks: Vec<SpannedTok>, budget: usize) -> Parser {
+        Parser {
+            toks,
+            pos: 0,
+            depth: 0,
+            budget,
+            over_budget: false,
+        }
+    }
+
     fn peek(&self) -> &Tok {
         &self.toks[self.pos].tok
     }
@@ -440,7 +476,8 @@ impl Parser {
     /// `ParseTooDeep` error instead of a stack overflow.
     fn descend(&mut self) -> PResult<()> {
         self.depth += 1;
-        if self.depth > MAX_PARSE_DEPTH {
+        if self.depth > self.budget {
+            self.over_budget = true;
             Err(self.err(format!(
                 "{TOO_DEEP_MSG}: the parse-depth budget of {MAX_PARSE_DEPTH} \
                  nesting levels is exhausted"
@@ -1068,6 +1105,79 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_ne!(other, first);
+    }
+
+    /// `depth` nested parentheses around `1`.
+    fn nested(depth: usize) -> String {
+        format!("{}1{}", "(".repeat(depth), ")".repeat(depth))
+    }
+
+    fn has_parser_thread() -> bool {
+        PARSER_THREAD.with(|slot| slot.borrow().is_some())
+    }
+
+    #[test]
+    fn shallow_parses_stay_on_the_callers_stack() {
+        std::thread::spawn(|| {
+            assert!(parse_expr(&nested(INLINE_PARSE_DEPTH / 2)).is_ok());
+            assert!(parse_program("val x = (1 + 2) * 3").is_ok());
+            assert!(parse_con("{A : int} -> int").is_ok());
+            assert!(!has_parser_thread(), "a shallow parse handed off");
+            assert!(parse_expr(&nested(INLINE_PARSE_DEPTH * 2)).is_ok());
+            assert!(has_parser_thread(), "a deep parse stayed inline");
+        })
+        .join()
+        .unwrap();
+    }
+
+    /// Runs `f` on a fresh thread with a 2 MiB stack, the default a
+    /// test or server thread gets.
+    fn on_2_mib_thread<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .unwrap()
+    }
+
+    #[test]
+    fn ten_thousand_deep_inputs_get_e0201_on_a_2_mib_thread() {
+        on_2_mib_thread(|| {
+            let n = 10_000;
+            let expr = parse_expr(&nested(n)).unwrap_err();
+            let con = parse_con(&format!("{}int{}", "(".repeat(n), ")".repeat(n))).unwrap_err();
+            let prog = parse_program(&format!("val x = {}", nested(n))).unwrap_err();
+            for err in [expr, con, prog] {
+                let d: crate::diag::Diagnostic = err.into();
+                assert_eq!(d.code, crate::diag::Code::ParseTooDeep, "{d}");
+            }
+        });
+    }
+
+    #[test]
+    fn parses_past_the_inline_budget_match_a_full_budget_parse() {
+        on_2_mib_thread(parses_past_the_inline_budget_match);
+    }
+
+    fn parses_past_the_inline_budget_match() {
+        let full_budget = |src: String| {
+            on_parser_stack(move || {
+                let mut p = Parser::new(lex(&src)?, MAX_PARSE_DEPTH);
+                let e = p.expr()?;
+                p.expect(Tok::Eof)?;
+                Ok(e)
+            })
+        };
+        let depths = [INLINE_PARSE_DEPTH - 1, INLINE_PARSE_DEPTH + 1, MAX_PARSE_DEPTH / 2];
+        let mut inputs: Vec<String> = depths.into_iter().map(nested).collect();
+        // Errors inside and past the inline budget, and past the full one.
+        for depth in [3, INLINE_PARSE_DEPTH + 8, MAX_PARSE_DEPTH + 1] {
+            inputs.push(format!("{}1 +{}", "(".repeat(depth), ")".repeat(depth)));
+        }
+        for src in inputs {
+            assert_eq!(parse_expr(&src), full_budget(src.clone()), "{src}");
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@ use ur_core::expr::RExpr;
 use ur_core::sym::Sym;
 use ur_eval::{Builtin, Chunk, EvalEngine, EvalError, Interp, VEnv, Value, World};
 use ur_infer::{ElabDecl, ElabError, ElabSnapshot, Elaborator};
+use ur_syntax::{SExpr, SLit};
 
 /// Errors from running a program in a session.
 #[derive(Clone, Debug)]
@@ -93,6 +94,8 @@ pub struct SessionSnapshot {
 /// ```
 pub struct Session {
     /// The elaborator (inference statistics live in `elab.cx.stats`).
+    /// Declarations made through it directly bypass the session, and so
+    /// do not clear the prepared-eval cache that [`Session::run`] does.
     pub elab: Elaborator,
     /// Runtime world: database and debug output.
     pub world: World,
@@ -122,6 +125,14 @@ pub struct Session {
     /// [`Session::reelaborate`]'s base restore, [`Session::rollback`] —
     /// clears the cache; size is bounded by [`CHUNK_CACHE_CAP`].
     chunk_cache: HashMap<RExpr, Arc<Chunk>>,
+    /// Prepared [`Session::eval`] expressions: for each expression
+    /// shape (see [`Lifted`]), the closed function over its literals.
+    /// The elaboration depends on the whole top-level scope, so every
+    /// change to it — [`Session::run`], [`Session::run_all`],
+    /// [`Session::reelaborate`], [`Session::rollback`] — clears the
+    /// cache, a stronger rule than `chunk_cache`'s, which survives
+    /// `run`. Size is bounded by [`PREPARED_CACHE_CAP`].
+    prepared: HashMap<String, RExpr>,
     /// Shared snapshot of `top` for VM runs (`Rc` of the globals plus
     /// the root constructor list), rebuilt lazily after any top-level
     /// mutation. Without it every VM run would clone every top-level
@@ -148,6 +159,112 @@ pub struct Session {
 /// growing it without limit — the same policy the VM applies to its
 /// resolution memo.
 const CHUNK_CACHE_CAP: usize = 1 << 10;
+
+/// Bound on [`Session::prepared`], flushed like the chunk cache.
+const PREPARED_CACHE_CAP: usize = 1 << 10;
+
+/// An `eval` expression with its int, float and string literals lifted
+/// out into holes named `?i0`, `?f1`, `?s2`, … in source order: names
+/// the lexer cannot produce, so no source binder shadows them.
+struct Lifted {
+    /// The expression with holes in place of the literals.
+    skeleton: SExpr,
+    /// Each hole's name and the type the literal rule gives it.
+    holes: Vec<(String, RCon)>,
+    /// Each hole's literal value.
+    args: Vec<Value>,
+    /// The shape: the source's tokens without their spans, with the
+    /// hole names in place of the lifted literals. Parsing depends on
+    /// the tokens alone, so equal keys mean equal skeletons.
+    key: String,
+}
+
+impl Lifted {
+    /// Parses `src` and lifts its literals out; `None` if it does not
+    /// parse. The walk keeps its own stack, so an expression's depth
+    /// costs no call stack.
+    fn new(src: &str) -> Option<Lifted> {
+        use fmt::Write as _;
+        let mut skeleton = ur_syntax::parse_expr(src).ok()?;
+        let mut holes = Vec::new();
+        let mut args = Vec::new();
+        let mut spans = Vec::new();
+        // Pre-order, children pushed right to left: literals are met in
+        // source order.
+        let mut stack = vec![&mut skeleton];
+        while let Some(e) = stack.pop() {
+            match e {
+                SExpr::Lit(span, lit) => {
+                    let (tag, arg) = match lit {
+                        SLit::Int(n) => ('i', Value::Int(*n)),
+                        SLit::Float(x) => ('f', Value::Float(*x)),
+                        SLit::Str(s) => ('s', Value::str(s.as_str())),
+                        SLit::Bool(_) | SLit::Unit => continue,
+                    };
+                    let name = format!("?{tag}{}", holes.len());
+                    holes.push((name.clone(), ur_infer::elab::literal_type(lit)));
+                    args.push(arg);
+                    spans.push(*span);
+                    *e = SExpr::Var(*span, name);
+                }
+                SExpr::Var(..) => {}
+                SExpr::App(_, a, b) | SExpr::Cat(_, a, b) | SExpr::BinOp(_, _, a, b) => {
+                    stack.push(b);
+                    stack.push(a);
+                }
+                SExpr::CApp(_, a, _)
+                | SExpr::Bang(_, a)
+                | SExpr::Fn(_, _, a)
+                | SExpr::Proj(_, a, _)
+                | SExpr::Cut(_, a, _)
+                | SExpr::Ann(_, a, _)
+                | SExpr::Explicit(_, a) => stack.push(a),
+                SExpr::Record(_, fields) => {
+                    stack.extend(fields.iter_mut().rev().map(|f| &mut f.1));
+                }
+                SExpr::If(_, c, t, f) => {
+                    stack.push(f);
+                    stack.push(t);
+                    stack.push(c);
+                }
+                SExpr::Let(_, decls, body) => {
+                    stack.push(body);
+                    for d in decls.iter_mut().rev() {
+                        if let ur_syntax::SDecl::Val(_, _, _, b)
+                        | ur_syntax::SDecl::Fun(_, _, _, _, b) = d
+                        {
+                            stack.push(b);
+                        }
+                    }
+                }
+            }
+        }
+        let mut key = String::new();
+        let mut next = holes.iter().zip(&spans).peekable();
+        for t in ur_syntax::lex::lex(src).ok()? {
+            match next.peek() {
+                Some(((name, _), span)) if **span == t.span => {
+                    key.push_str(name);
+                    next.next();
+                }
+                _ => {
+                    let _ = write!(key, "{:?}", t.tok);
+                }
+            }
+            key.push(' ');
+        }
+        // Every hole must have been found at its token.
+        if next.next().is_some() {
+            return None;
+        }
+        Some(Lifted {
+            skeleton,
+            holes,
+            args,
+            key,
+        })
+    }
+}
 
 impl Session {
     /// Creates a session with the standard library installed.
@@ -201,6 +318,7 @@ impl Session {
             top: VEnv::new(),
             by_name,
             chunk_cache: HashMap::new(),
+            prepared: HashMap::new(),
             vm_globals: None,
             incr: None,
             rebuild_limits: None,
@@ -247,6 +365,18 @@ impl Session {
     /// Evaluates one elaborated body on the configured engine, folding
     /// the engine's counters into the session statistics.
     fn eval_body(&mut self, body: &RExpr, label: &str) -> Result<Value, EvalError> {
+        self.eval_applied(body, label, Vec::new())
+    }
+
+    /// [`Session::eval_body`], then applies the value to `args` in order,
+    /// in the same interpreter. The applications' VM time and
+    /// instructions count as the run's.
+    fn eval_applied(
+        &mut self,
+        body: &RExpr,
+        label: &str,
+        args: Vec<Value>,
+    ) -> Result<Value, EvalError> {
         match self.engine {
             EvalEngine::Vm => {
                 let chunk = self.chunk_for(body, label);
@@ -258,13 +388,19 @@ impl Session {
                 };
                 let mut interp = Interp::new(&mut self.world, &self.elab.genv, &self.builtins);
                 let r = ur_eval::vm::run_shared(&mut interp, &chunk, &globals, &cons);
-                let es = interp.eval_stats;
+                let t0 = std::time::Instant::now();
+                let r = r.and_then(|f| args.into_iter().try_fold(f, |f, a| interp.apply(f, a)));
+                let mut es = interp.eval_stats;
+                let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                es.dispatch_ns = es.dispatch_ns.saturating_add(ns);
                 self.fold_vm_stats(es, 1);
                 r
             }
             EvalEngine::Interp => {
                 let mut interp = Interp::new(&mut self.world, &self.elab.genv, &self.builtins);
-                let r = interp.eval(&self.top, body);
+                let r = interp
+                    .eval(&self.top, body)
+                    .and_then(|f| args.into_iter().try_fold(f, |f, a| interp.apply(f, a)));
                 self.elab.cx.stats.eval_interp_runs =
                     self.elab.cx.stats.eval_interp_runs.saturating_add(1);
                 r
@@ -279,6 +415,7 @@ impl Session {
     ///
     /// Returns the first parse, type, or runtime error.
     pub fn run(&mut self, src: &str) -> Result<Vec<(String, Value)>, SessionError> {
+        self.prepared.clear();
         let decls = self.elab.elab_source(src)?;
         let mut out = Vec::new();
         for d in &decls {
@@ -309,6 +446,7 @@ impl Session {
         &mut self,
         src: &str,
     ) -> (Vec<(String, Value)>, ur_syntax::Diagnostics) {
+        self.prepared.clear();
         let (decls, mut diags) = self.elab.elab_source_all(src);
         let mut out = Vec::new();
         for d in &decls {
@@ -391,6 +529,7 @@ impl Session {
         // names and pre-reduced constructors, so none of them may
         // survive the rebuild.
         self.chunk_cache.clear();
+        self.prepared.clear();
         self.by_name = incr.base_by_name.clone();
 
         // A per-rebuild fuel ceiling (deadline-budgeted serving) must be
@@ -459,12 +598,54 @@ impl Session {
 
     /// Elaborates and evaluates a single expression.
     ///
+    /// Each expression *shape* — the expression with its int, float and
+    /// string literals lifted out into holes — is elaborated once per
+    /// top-level scope, into a function over the holes; later
+    /// evaluations of the shape skip elaboration and apply that function
+    /// to their own literals. A shape that does not elaborate falls back
+    /// to elaborating `src` itself, so errors are exactly the
+    /// unprepared ones.
+    ///
     /// # Errors
     ///
     /// Returns the first parse, type, or runtime error.
     pub fn eval(&mut self, src: &str) -> Result<Value, SessionError> {
+        if let Some((f, args)) = self.prepare(src) {
+            return Ok(self.eval_applied(&f, "<expr>", args)?);
+        }
         let (ee, _ty) = self.elab.elab_expr_source(src)?;
         Ok(self.eval_body(&ee, "<expr>")?)
+    }
+
+    /// The prepared function of `src`'s shape, elaborated now on a
+    /// cache miss, and `src`'s literal values; `None` when `src` does
+    /// not parse or its shape does not elaborate.
+    fn prepare(&mut self, src: &str) -> Option<(RExpr, Vec<Value>)> {
+        let lifted = Lifted::new(src);
+        let hit = lifted
+            .as_ref()
+            .and_then(|l| self.prepared.get(&l.key).copied());
+        let st = &mut self.elab.cx.stats;
+        if hit.is_some() {
+            st.eval_prepared_hits = st.eval_prepared_hits.saturating_add(1);
+        } else {
+            st.eval_prepared_misses = st.eval_prepared_misses.saturating_add(1);
+        }
+        let Lifted {
+            skeleton,
+            holes,
+            args,
+            key,
+        } = lifted?;
+        if let Some(f) = hit {
+            return Some((f, args));
+        }
+        let f = self.elab.elab_expr_over_holes(&skeleton, &holes).ok()?;
+        if self.prepared.len() >= PREPARED_CACHE_CAP {
+            self.prepared.clear();
+        }
+        self.prepared.insert(key, f);
+        Some((f, args))
     }
 
     /// Elaborates `src` once, then evaluates the resulting core body
@@ -638,6 +819,7 @@ impl Session {
         // `genv` just rewound; chunks compiled against the rolled-back
         // environment must not be served to post-rollback evaluations.
         self.chunk_cache.clear();
+        self.prepared.clear();
         self.by_name = snap.by_name;
     }
 
@@ -1049,6 +1231,30 @@ mod recovery_tests {
         let mut sess = Session::new().unwrap();
         assert!(sess.eval("{A = 1} ++ {A = 2}").is_err());
         assert_eq!(sess.eval("1 + 1").unwrap().as_int().unwrap(), 2);
+    }
+
+    /// Expression elaboration starts on a fresh fuel budget every call,
+    /// so a long-lived session (a REPL, an embedder) never runs out of
+    /// it. Regression: `eval` and `type_of` left a successful call's
+    /// steps charged, and after ~14k evals every later one failed with
+    /// "normalization steps budget spent". `type_of` is never prepared,
+    /// so each of its calls elaborates; the evals use distinct shapes.
+    #[test]
+    fn expression_fuel_is_per_call() {
+        let mut sess = Session::new().unwrap();
+        // A ceiling these calls spend many times over in total.
+        sess.elab.cx.fuel.limits.max_norm_steps = 10_000;
+        for i in 0..20_000 {
+            sess.type_of("1 + 2")
+                .unwrap_or_else(|e| panic!("type_of {i}: {e}"));
+        }
+        for i in 0..4_000 {
+            let v = sess
+                .eval(&format!("{{F{i} = 2}}.F{i} + 1"))
+                .unwrap_or_else(|e| panic!("eval {i}: {e}"));
+            assert_eq!(v.as_int().unwrap(), 3);
+        }
+        assert_eq!(sess.stats().eval_prepared_hits, 0, "every shape was new");
     }
 
     /// `run_all` reports every bad declaration and still evaluates the

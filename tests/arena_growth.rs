@@ -9,9 +9,20 @@
 //!
 //! This lives in its own test binary on purpose: `try_reset` demands
 //! process-wide quiescence, which concurrent tests in a shared binary
-//! could not guarantee.
+//! could not guarantee. The tests of this binary take [`ARENA`] so that
+//! they run one at a time.
+//!
+//! The second test bounds a long-lived session: repeated evaluations of
+//! one expression shape with fresh literals are served by the prepared
+//! function of the shape, so they grow neither the arena nor the
+//! session's metavariable context.
 
+use std::sync::Mutex;
 use ur::core::arena;
+
+/// Serializes the tests of this binary: each reads process-wide arena
+/// counters, and the first resets the arena.
+static ARENA: Mutex<()> = Mutex::new(());
 
 const SRC: &str = "val r = { A = 1, B = \"two\", C = 40 + 2 }\n\
                    val total = r.A + r.C\n\
@@ -27,6 +38,7 @@ fn run_cycle() {
 
 #[test]
 fn arena_growth_is_bounded_over_100_session_cycles() {
+    let _serial = ARENA.lock().unwrap_or_else(|e| e.into_inner());
     // While a session is alive its lease must veto the reset.
     {
         let sess = ur::Session::new().expect("session");
@@ -77,4 +89,37 @@ fn arena_growth_is_bounded_over_100_session_cycles() {
 
     // The arena remains fully serviceable after many resets.
     run_cycle();
+}
+
+#[test]
+fn same_shape_evals_do_not_grow_the_arena_or_the_metas() {
+    let _serial = ARENA.lock().unwrap_or_else(|e| e.into_inner());
+    let mut sess = ur::Session::new().expect("session");
+    sess.run(
+        "val t = createTable \"kv\" {K = sqlInt, V = sqlString, W = sqlFloat}\n\
+         val u = insert t {K = const 0, V = const \"v\", W = const 0.5}",
+    )
+    .expect("setup");
+    let eval = |sess: &mut ur::Session, i: usize| {
+        let src = format!(
+            "updateRows t {{V = const \"v{i}\", W = const {i}.25}} \
+             (sqlEq (column [#K]) (const {}))",
+            i % 2
+        );
+        let v = sess.eval(&src).unwrap_or_else(|e| panic!("{src}: {e}"));
+        let rows = if i.is_multiple_of(2) { "1" } else { "0" };
+        assert_eq!(v.to_string(), rows, "{src}");
+    };
+    let nodes = || {
+        let s = arena::stats();
+        s.con_nodes + s.expr_nodes
+    };
+    eval(&mut sess, 0);
+    let (nodes0, metas0) = (nodes(), sess.elab.cx.metas.len());
+    for i in 1..5_000 {
+        eval(&mut sess, i);
+        assert_eq!(nodes(), nodes0, "eval {i} grew the arena");
+        assert_eq!(sess.elab.cx.metas.len(), metas0, "eval {i} grew the metas");
+    }
+    assert_eq!(sess.stats().eval_prepared_hits, 4_999);
 }
