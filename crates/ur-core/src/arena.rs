@@ -8,8 +8,11 @@
 //!   shallow key exactly one id), replacing the `Rc::ptr_eq` fast paths;
 //! * terms cross threads freely — the sessions of `ur-serve`'s worker
 //!   pool all intern into, and read from, the same arena;
-//! * memo tables can be shared process-wide, because a `ConId` means the
-//!   same term on every thread.
+//! * every node carries precomputed [`Flags`] (has-var / has-meta /
+//!   has-kind-meta), so "is this term closed?" checks in substitution,
+//!   zonking, and the occurs check are one bit test, not a traversal;
+//! * name literals intern their string as an [`IStr`], so record-label
+//!   comparison is `u32` equality.
 //!
 //! ## Sharding and lock discipline
 //!
@@ -47,7 +50,7 @@ use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, RwLock};
+use std::sync::{OnceLock, RwLock};
 
 /// Number of shards; must be a power of two.
 pub const NUM_SHARDS: usize = 16;
@@ -540,9 +543,6 @@ struct Arena {
     strs: StrStore,
     generation: AtomicU64,
     leases: AtomicUsize,
-    /// Hooks run (under quiescence) by [`try_reset`] so dependent global
-    /// caches — e.g. the shared memo table — drain with the arena.
-    reset_hooks: Mutex<Vec<fn()>>,
 }
 
 fn arena() -> &'static Arena {
@@ -553,7 +553,6 @@ fn arena() -> &'static Arena {
         strs: StrStore::new(),
         generation: AtomicU64::new(0),
         leases: AtomicUsize::new(0),
-        reset_hooks: Mutex::new(Vec::new()),
     })
 }
 
@@ -829,23 +828,10 @@ pub fn generation() -> u64 {
     arena().generation.load(Ordering::Acquire)
 }
 
-/// Registers a hook run by every successful [`try_reset`] (e.g. to clear
-/// the shared memo table, whose keys embed arena ids).
-pub fn on_reset(hook: fn()) {
-    let mut hooks = match arena().reset_hooks.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    };
-    if !hooks.contains(&hook) {
-        hooks.push(hook);
-    }
-}
-
 /// Drains the term arena if no leases are outstanding: drops every `Con`
-/// and `Expr` slot in place, clears the hash-cons maps, runs the
-/// registered reset hooks, and bumps the generation. The string table
-/// survives (labels are tiny and may be cached in diagnostics). Returns
-/// whether the reset ran.
+/// and `Expr` slot in place, clears the hash-cons maps, and bumps the
+/// generation. The string table survives (labels are tiny and may be
+/// cached in diagnostics). Returns whether the reset ran.
 ///
 /// This is deliberately opt-in: callers must guarantee no `ConId`/`ExprId`
 /// minted before the reset is dereferenced after it. The embedding
@@ -858,16 +844,6 @@ pub fn try_reset() -> bool {
     }
     a.cons.drain();
     a.exprs.drain();
-    let hooks: Vec<fn()> = {
-        let g = match a.reset_hooks.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        g.clone()
-    };
-    for hook in hooks {
-        hook();
-    }
     a.generation.fetch_add(1, Ordering::AcqRel);
     true
 }
@@ -983,6 +959,51 @@ mod tests {
         let b = mk_con(Con::Prim(PrimType::Int));
         assert_eq!(a, b);
         assert!(matches!(*a, Con::Prim(PrimType::Int)));
+    }
+
+    #[test]
+    fn distinct_terms_get_distinct_ids() {
+        let a = Con::arrow(Con::int(), Con::string());
+        let b = Con::arrow(Con::string(), Con::int());
+        assert_ne!(a, b);
+        assert_ne!(a.node_hash(), b.node_hash());
+    }
+
+    #[test]
+    fn flags_track_vars_and_metas() {
+        use crate::con::MetaId;
+        use crate::kind::{KMetaId, Kind};
+        use crate::sym::Sym;
+        let closed = Con::arrow(Con::int(), Con::string());
+        assert!(closed.flags().is_closed());
+
+        let v = Con::var(&Sym::fresh("a"));
+        assert!(v.flags().has_var());
+        assert!(!v.flags().has_meta());
+
+        let m = Con::meta(MetaId(901_000));
+        assert!(m.flags().has_meta());
+
+        let nested = Con::pair(Con::int(), m);
+        assert!(nested.flags().has_meta());
+        assert!(!nested.is_meta());
+
+        let kmeta = Con::row_nil(Kind::Meta(KMetaId(901_001)));
+        assert!(kmeta.flags().has_kmeta());
+        assert!(!kmeta.flags().is_closed());
+    }
+
+    #[test]
+    fn binders_with_distinct_syms_do_not_collide() {
+        use crate::kind::Kind;
+        use crate::sym::Sym;
+        let (x, y) = (Sym::fresh("x"), Sym::fresh("y"));
+        let lx = Con::lam(x, Kind::Type, Con::var(&x));
+        let ly = Con::lam(y, Kind::Type, Con::var(&y));
+        assert_ne!(lx, ly);
+        // ... but rebuilding the *same* binder does collide.
+        let lx2 = Con::lam(x, Kind::Type, Con::var(&x));
+        assert_eq!(lx, lx2);
     }
 
     #[test]

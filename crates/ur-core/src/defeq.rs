@@ -45,44 +45,13 @@ pub struct MutCxRef<'a>(pub &'a crate::meta::MetaCx);
 /// conservative direction; the elaborator checks [`crate::limits::Fuel::
 /// exhausted`] and reports a resource diagnostic instead of a plain
 /// mismatch.
-/// Memoized (see [`crate::memo`]): queries are keyed by the unordered
-/// pair of canonical intern ids plus the env's semantic generation.
 /// Hash-consing makes reflexivity O(1): structurally equal canonical
-/// terms are pointer-equal before any normalization happens.
+/// terms are equal handles before any normalization happens.
 pub fn defeq(env: &Env, cx: &mut Cx, c1: &RCon, c2: &RCon) -> bool {
     if !cx.fuel.descend() {
         return false;
     }
-    if c1 == c2 {
-        cx.fuel.ascend();
-        return true;
-    }
-    let key = if cx.memo.enabled {
-        cx.memo.check_laws(cx.laws);
-        let (i1, i2) = (crate::intern::id_of(c1), crate::intern::id_of(c2));
-        if i1 == i2 {
-            // Foreign (hand-built) duplicates of one canonical term.
-            cx.fuel.ascend();
-            return true;
-        }
-        let (env_gen, meta_gen) = (env.generation(), cx.metas.generation());
-        if let Some(eq) = cx.memo.defeq_get(i1, i2, env_gen, meta_gen) {
-            cx.stats.defeq_memo_hits += 1;
-            let _ = cx.fuel.step();
-            cx.fuel.ascend();
-            return eq;
-        }
-        cx.stats.defeq_memo_misses += 1;
-        Some((i1, i2, env_gen))
-    } else {
-        None
-    };
-    let out = defeq_inner(env, cx, c1, c2);
-    if let Some((i1, i2, env_gen)) = key {
-        if cx.fuel.exhausted().is_none() {
-            cx.memo.defeq_put(i1, i2, env_gen, cx.metas.generation(), out);
-        }
-    }
+    let out = c1 == c2 || defeq_inner(env, cx, c1, c2);
     cx.fuel.ascend();
     out
 }
@@ -122,7 +91,7 @@ fn defeq_inner(env: &Env, cx: &mut Cx, c1: &RCon, c2: &RCon) -> bool {
         (Con::Var(a), Con::Var(b)) => a == b,
         (Con::Meta(a), Con::Meta(b)) => a == b,
         (Con::Prim(a), Con::Prim(b)) => a == b,
-        (Con::Name(a), Con::Name(b)) => crate::intern::names_eq(a, b),
+        (Con::Name(a), Con::Name(b)) => a == b,
         (Con::Arrow(a1, b1), Con::Arrow(a2, b2)) => {
             defeq(env, cx, a1, a2) && defeq(env, cx, b1, b2)
         }
@@ -215,7 +184,7 @@ pub fn row_nf_eq(env: &Env, cx: &mut Cx, n1: &RowNf, n2: &RowNf) -> bool {
         for i in 0..remaining.len() {
             let (k2, v2) = &remaining[i];
             let keys_match = match (k1, k2) {
-                (FieldKey::Lit(a), FieldKey::Lit(b)) => crate::intern::names_eq(a, b),
+                (FieldKey::Lit(a), FieldKey::Lit(b)) => a == b,
                 (FieldKey::Neutral(a), FieldKey::Neutral(b)) => defeq(env, cx, a, b),
                 _ => false,
             };

@@ -76,7 +76,7 @@ pub fn decompose(env: &Env, cx: &mut Cx, c: &RCon) -> (Vec<Piece>, bool) {
 
 fn pieces_eq(env: &Env, cx: &mut Cx, a: &Piece, b: &Piece) -> bool {
     match (a, b) {
-        (Piece::Name(x), Piece::Name(y)) => crate::intern::names_eq(x, y),
+        (Piece::Name(x), Piece::Name(y)) => x == y,
         (Piece::Neutral(x), Piece::Neutral(y)) => defeq(env, cx, x, y),
         _ => false,
     }
@@ -131,39 +131,8 @@ impl FactDb {
 
 /// Attempts to prove the disjointness goal `c1 ~ c2` under `env`'s
 /// assumptions. Increments the Figure-5 "Disj." counter.
-///
-/// Memoized (see [`crate::memo`]) on the unordered pair of canonical
-/// intern ids — the prover is symmetric in its two sides. `Proved` and
-/// `Refuted` verdicts are stable under further meta solving; `NotYet` is
-/// exactly the verdict revisited after more unification, so it is
-/// generation-guarded. The call counter is charged before the lookup so
-/// Figure-5 "Disj." still counts prover *invocations*.
 pub fn prove(env: &Env, cx: &mut Cx, c1: &RCon, c2: &RCon) -> ProveResult {
     cx.stats.disjoint_prover_calls += 1;
-    let key = if cx.memo.enabled {
-        cx.memo.check_laws(cx.laws);
-        let (i1, i2) = (crate::intern::id_of(c1), crate::intern::id_of(c2));
-        let (env_gen, meta_gen) = (env.generation(), cx.metas.generation());
-        if let Some(out) = cx.memo.disjoint_get(i1, i2, env_gen, meta_gen) {
-            cx.stats.disjoint_memo_hits += 1;
-            let _ = cx.fuel.prover_pair();
-            return out;
-        }
-        cx.stats.disjoint_memo_misses += 1;
-        Some((i1, i2, env_gen))
-    } else {
-        None
-    };
-    let out = prove_uncached(env, cx, c1, c2);
-    if let Some((i1, i2, env_gen)) = key {
-        if cx.fuel.exhausted().is_none() {
-            cx.memo.disjoint_put(i1, i2, env_gen, cx.metas.generation(), out);
-        }
-    }
-    out
-}
-
-fn prove_uncached(env: &Env, cx: &mut Cx, c1: &RCon, c2: &RCon) -> ProveResult {
     let (p1, complete1) = decompose(env, cx, c1);
     let (p2, complete2) = decompose(env, cx, c2);
     let db = FactDb::from_env(env, cx);
@@ -179,7 +148,7 @@ fn prove_uncached(env: &Env, cx: &mut Cx, c1: &RCon, c2: &RCon) -> ProveResult {
             }
             match (a, b) {
                 (Piece::Name(x), Piece::Name(y)) => {
-                    if crate::intern::names_eq(x, y) {
+                    if x == y {
                         return ProveResult::Refuted;
                     }
                 }

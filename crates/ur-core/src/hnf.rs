@@ -23,43 +23,11 @@ use crate::Cx;
 /// one step. When the budget is gone (`cx.fuel` sticky-exhausted) the
 /// input is returned as-is — callers treat it as neutral, which is always
 /// sound (it only makes fewer things definitionally equal).
-/// Memoized (see [`crate::memo`]): results are keyed by the canonical
-/// intern id plus the env's semantic generation, guarded by the meta
-/// generation. Only shapes that can actually reduce at the head
-/// (applications, projections, variables, metas) get table entries —
-/// everything else is already head-normal and `hnf_loop` confirms it in
-/// one step. A cache hit still charges one normalization step so cached
-/// runs stay fuel-bounded; results computed under exhausted fuel are
-/// degenerate and never stored.
 pub fn hnf(env: &Env, cx: &mut Cx, c: &RCon) -> RCon {
     if !cx.fuel.descend() {
         return *c;
     }
-    let memoizable = cx.memo.enabled
-        && matches!(
-            &**c,
-            Con::App(_, _) | Con::Fst(_) | Con::Snd(_) | Con::Var(_) | Con::Meta(_)
-        );
-    let key = if memoizable {
-        let id = crate::intern::id_of(c);
-        let (env_gen, meta_gen) = (env.generation(), cx.metas.generation());
-        if let Some(out) = cx.memo.hnf_get(id, env_gen, meta_gen) {
-            cx.stats.hnf_memo_hits += 1;
-            let _ = cx.fuel.step();
-            cx.fuel.ascend();
-            return out;
-        }
-        cx.stats.hnf_memo_misses += 1;
-        Some((id, env_gen))
-    } else {
-        None
-    };
     let out = hnf_loop(env, cx, c);
-    if let Some((id, env_gen)) = key {
-        if cx.fuel.exhausted().is_none() {
-            cx.memo.hnf_put(id, env_gen, cx.metas.generation(), &out);
-        }
-    }
     cx.fuel.ascend();
     out
 }

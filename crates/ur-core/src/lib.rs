@@ -51,11 +51,9 @@ pub mod failpoint;
 pub mod fingerprint;
 pub mod folder;
 pub mod hnf;
-pub mod intern;
 pub mod kind;
 pub mod kinding;
 pub mod limits;
-pub mod memo;
 pub mod meta;
 pub mod pretty;
 pub mod row;
@@ -91,15 +89,13 @@ impl Default for LawConfig {
 
 /// Mutable checking context threaded through every judgment: the
 /// metavariable arena, the Figure-5 statistics counters, the law
-/// configuration, the resource budget (see [`limits`]), and the memo
-/// tables for the four expensive judgments (see [`memo`]).
+/// configuration, and the resource budget (see [`limits`]).
 #[derive(Clone, Debug, Default)]
 pub struct Cx {
     pub metas: MetaCx,
     pub stats: Stats,
     pub laws: LawConfig,
     pub fuel: Fuel,
-    pub memo: memo::Memo,
 }
 
 impl Cx {

@@ -138,8 +138,7 @@ pub struct Fuel {
     prover_pairs: u64,
     /// Total steps ever charged, *not* cleared by [`Fuel::reset`]. The
     /// elaborator resets fuel at every declaration boundary, so this is
-    /// the only whole-run normalization-work metric (used by the
-    /// interning benchmark to compare cached vs. uncached runs).
+    /// the only whole-run normalization-work metric.
     lifetime_norm_steps: u64,
     exhausted: Option<ResourceKind>,
 }

@@ -29,25 +29,16 @@ struct KMetaEntry {
 ///
 /// Solutions are write-once ([`MetaCx::solve`] / [`MetaCx::solve_kind`]
 /// panic on re-solve), which makes the solution state *monotone*: it only
-/// ever gains equations. The memo tables in [`crate::memo`] rely on this
-/// by tagging entries with [`MetaCx::generation`], which counts recorded
-/// solutions. Allocating fresh metas does not bump the generation — a new
-/// metavariable cannot occur in any previously cached term.
+/// ever gains equations.
 #[derive(Clone, Debug, Default)]
 pub struct MetaCx {
     metas: Vec<MetaEntry>,
     kmetas: Vec<KMetaEntry>,
-    gen: u64,
 }
 
 impl MetaCx {
     pub fn new() -> MetaCx {
         MetaCx::default()
-    }
-
-    /// Number of solutions (constructor and kind) recorded so far.
-    pub fn generation(&self) -> u64 {
-        self.gen
     }
 
     /// Allocates a fresh constructor metavariable of the given kind.
@@ -102,7 +93,6 @@ impl MetaCx {
             "metavariable {id} already solved"
         );
         entry.solution = Some(c);
-        self.gen += 1;
     }
 
     /// Records a solution for a kind metavariable.
@@ -114,9 +104,6 @@ impl MetaCx {
         let entry = &mut self.kmetas[id.0 as usize];
         assert!(entry.solution.is_none(), "kind metavariable {id} already solved");
         entry.solution = Some(k);
-        // Kind solutions invalidate caches too: `normalize_row` zonks
-        // kinds into `RowNf::elem_kind`.
-        self.gen += 1;
     }
 
     /// Follows metavariable solutions at the head of `c` until reaching a
@@ -164,7 +151,7 @@ impl MetaCx {
         // Precomputed-flag fast path: a term with no Con::Meta and no
         // Kind::Meta anywhere cannot be changed by zonking.
         {
-            let f = crate::intern::flags_of(c);
+            let f = c.flags();
             if !f.has_meta() && !f.has_kmeta() {
                 return *c;
             }
@@ -213,7 +200,7 @@ impl MetaCx {
     pub fn occurs(&self, id: MetaId, c: &RCon) -> bool {
         // Fast path: `occurs` only resolves metas that occur syntactically,
         // so a term whose flags say "no Con::Meta" cannot contain `id`.
-        if !crate::intern::flags_of(c).has_meta() {
+        if !c.flags().has_meta() {
             return false;
         }
         let c = self.resolve(c);
@@ -257,21 +244,6 @@ mod tests {
         let m = cx.fresh(Kind::Type, "test");
         cx.solve(m, Con::int());
         cx.solve(m, Con::float());
-    }
-
-    #[test]
-    fn generation_counts_solutions_only() {
-        let mut cx = MetaCx::new();
-        assert_eq!(cx.generation(), 0);
-        let m = cx.fresh(Kind::Type, "t");
-        let k = cx.fresh_kind();
-        assert_eq!(cx.generation(), 0, "allocation must not bump the generation");
-        cx.solve(m, Con::int());
-        assert_eq!(cx.generation(), 1);
-        if let Kind::Meta(id) = k {
-            cx.solve_kind(id, Kind::Type);
-        }
-        assert_eq!(cx.generation(), 2, "kind solutions bump the generation too");
     }
 
     #[test]

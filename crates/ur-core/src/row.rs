@@ -181,36 +181,12 @@ impl RowNf {
 
 /// Normalizes a row-kinded constructor to canonical form, applying and
 /// counting the Figure-3 laws.
-///
-/// Memoized (see [`crate::memo`]). The `row_normalizations` counter is
-/// charged *before* the table lookup so it keeps counting calls, as
-/// Figure 5 does; the law counters by contrast only advance on misses
-/// (a cached normal form replays no rewrites).
 pub fn normalize_row(env: &Env, cx: &mut Cx, c: &RCon) -> RowNf {
     cx.stats.row_normalizations += 1;
-    let key = if cx.memo.enabled {
-        cx.memo.check_laws(cx.laws);
-        let id = crate::intern::id_of(c);
-        let (env_gen, meta_gen) = (env.generation(), cx.metas.generation());
-        if let Some(nf) = cx.memo.row_get(id, env_gen, meta_gen) {
-            cx.stats.row_memo_hits += 1;
-            let _ = cx.fuel.step();
-            return nf;
-        }
-        cx.stats.row_memo_misses += 1;
-        Some((id, env_gen))
-    } else {
-        None
-    };
     let mut nf = RowNf::default();
     collect(env, cx, c, &mut nf);
     nf.source_fields = nf.fields.clone();
     nf.sort();
-    if let Some((id, env_gen)) = key {
-        if cx.fuel.exhausted().is_none() {
-            cx.memo.row_put(id, env_gen, cx.metas.generation(), &nf);
-        }
-    }
     nf
 }
 

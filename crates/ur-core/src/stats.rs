@@ -33,16 +33,16 @@ pub struct Stats {
     pub folders_generated: u64,
     /// Reverse-engineering unification successes (§4.2).
     pub reverse_engineered: u64,
-    /// `hnf` memo-table hits / misses (see `ur_core::memo`).
+    /// Inert: always zero. The judgments compute directly (there is no
+    /// judgment memo), so nothing writes these eight fields, and neither
+    /// [`Stats::since`] nor `Display` reads them. They remain only because
+    /// the `perfbench/` trace still sums them into `core.memo_hit_ratio`.
     pub hnf_memo_hits: u64,
     pub hnf_memo_misses: u64,
-    /// `defeq` memo-table hits / misses.
     pub defeq_memo_hits: u64,
     pub defeq_memo_misses: u64,
-    /// Row-normalization memo-table hits / misses.
     pub row_memo_hits: u64,
     pub row_memo_misses: u64,
-    /// Disjointness-prover verdict memo hits / misses.
     pub disjoint_memo_hits: u64,
     pub disjoint_memo_misses: u64,
     /// Snapshot of the shared intern arena (filled by
@@ -63,11 +63,6 @@ pub struct Stats {
     /// Times an arena shard lock was contended (try-lock failed and the
     /// intern had to block).
     pub arena_contention: u64,
-    /// Global stable-entry memo layer hits / misses (see
-    /// `ur_core::memo::global_hit_stats`); process-wide, captured by
-    /// [`Stats::capture_intern`].
-    pub gmemo_hits: u64,
-    pub gmemo_misses: u64,
     /// Snapshot of the thread-local failpoint counters (filled by
     /// [`Stats::capture_failpoints`]): faults injected. Always zero
     /// without the `failpoints` feature.
@@ -149,21 +144,17 @@ impl Stats {
     /// snapshot (they are process-global, not per-`Cx`, so they are
     /// captured on demand rather than incremented by the judgments).
     /// Also captures the arena gauges (bytes, shard balance, lock
-    /// contention) and the global memo layer's hit/miss totals.
+    /// contention).
     pub fn capture_intern(&mut self) {
-        let t = crate::intern::table_stats();
-        self.intern_nodes = t.nodes;
-        self.intern_hits = t.hits;
-        self.intern_misses = t.misses;
-        self.intern_names = t.names;
         let a = crate::arena::stats();
+        self.intern_nodes = a.con_nodes + a.expr_nodes;
+        self.intern_hits = a.hits;
+        self.intern_misses = a.misses;
+        self.intern_names = a.strings;
         self.arena_bytes = a.bytes;
         self.arena_shard_max = a.con_per_shard.iter().copied().max().unwrap_or(0);
         self.arena_shard_min = a.con_per_shard.iter().copied().min().unwrap_or(0);
         self.arena_contention = a.contention;
-        let (gh, gm) = crate::memo::global_hit_stats();
-        self.gmemo_hits = gh;
-        self.gmemo_misses = gm;
     }
 
     /// Copies the thread-local failpoint counters into this snapshot
@@ -197,18 +188,6 @@ impl Stats {
             reverse_engineered: self
                 .reverse_engineered
                 .saturating_sub(earlier.reverse_engineered),
-            hnf_memo_hits: self.hnf_memo_hits.saturating_sub(earlier.hnf_memo_hits),
-            hnf_memo_misses: self.hnf_memo_misses.saturating_sub(earlier.hnf_memo_misses),
-            defeq_memo_hits: self.defeq_memo_hits.saturating_sub(earlier.defeq_memo_hits),
-            defeq_memo_misses: self.defeq_memo_misses.saturating_sub(earlier.defeq_memo_misses),
-            row_memo_hits: self.row_memo_hits.saturating_sub(earlier.row_memo_hits),
-            row_memo_misses: self.row_memo_misses.saturating_sub(earlier.row_memo_misses),
-            disjoint_memo_hits: self
-                .disjoint_memo_hits
-                .saturating_sub(earlier.disjoint_memo_hits),
-            disjoint_memo_misses: self
-                .disjoint_memo_misses
-                .saturating_sub(earlier.disjoint_memo_misses),
             intern_nodes: self.intern_nodes.saturating_sub(earlier.intern_nodes),
             intern_hits: self.intern_hits.saturating_sub(earlier.intern_hits),
             intern_misses: self.intern_misses.saturating_sub(earlier.intern_misses),
@@ -217,8 +196,6 @@ impl Stats {
             arena_shard_max: self.arena_shard_max.saturating_sub(earlier.arena_shard_max),
             arena_shard_min: self.arena_shard_min.saturating_sub(earlier.arena_shard_min),
             arena_contention: self.arena_contention.saturating_sub(earlier.arena_contention),
-            gmemo_hits: self.gmemo_hits.saturating_sub(earlier.gmemo_hits),
-            gmemo_misses: self.gmemo_misses.saturating_sub(earlier.gmemo_misses),
             fp_faults_injected: self
                 .fp_faults_injected
                 .saturating_sub(earlier.fp_faults_injected),
@@ -261,6 +238,7 @@ impl Stats {
                 .db_snapshot_reads
                 .saturating_sub(earlier.db_snapshot_reads),
             db_versions_gcd: self.db_versions_gcd.saturating_sub(earlier.db_versions_gcd),
+            ..Stats::default()
         }
     }
 
@@ -294,18 +272,6 @@ impl fmt::Display for Stats {
         )?;
         write!(
             f,
-            " cache[hnf={}/{} defeq={}/{} rows={}/{} disj={}/{}]",
-            self.hnf_memo_hits,
-            self.hnf_memo_misses,
-            self.defeq_memo_hits,
-            self.defeq_memo_misses,
-            self.row_memo_hits,
-            self.row_memo_misses,
-            self.disjoint_memo_hits,
-            self.disjoint_memo_misses,
-        )?;
-        write!(
-            f,
             " intern[nodes={} names={} hits={} misses={}]",
             self.intern_nodes, self.intern_names, self.intern_hits, self.intern_misses,
         )?;
@@ -317,11 +283,6 @@ impl fmt::Display for Stats {
             f,
             " arena[bytes={} shard_max={} shard_min={} contention={} hit_rate={hit_rate:.1}%]",
             self.arena_bytes, self.arena_shard_max, self.arena_shard_min, self.arena_contention,
-        )?;
-        write!(
-            f,
-            " gmemo[hits={} misses={}]",
-            self.gmemo_hits, self.gmemo_misses,
         )?;
         write!(f, " faults[injected={}]", self.fp_faults_injected)?;
         write!(
@@ -411,9 +372,9 @@ mod tests {
     }
 
     #[test]
-    fn display_mentions_cache_and_intern_counters() {
+    fn display_mentions_intern_counters() {
         let s = Stats::new().to_string();
-        for key in ["cache[hnf=", "defeq=", "rows=", "intern[nodes=", "names="] {
+        for key in ["intern[nodes=", "names="] {
             assert!(s.contains(key), "missing {key} in {s}");
         }
     }
@@ -626,17 +587,13 @@ mod tests {
     }
 
     #[test]
-    fn display_mentions_arena_and_global_memo_counters() {
+    fn display_mentions_arena_counters() {
         let s = Stats::new().to_string();
-        for key in [
-            "arena[bytes=",
-            "shard_max=",
-            "shard_min=",
-            "contention=",
-            "hit_rate=",
-            "gmemo[hits=",
-        ] {
+        for key in ["arena[bytes=", "shard_max=", "shard_min=", "contention=", "hit_rate="] {
             assert!(s.contains(key), "missing {key} in {s}");
+        }
+        for gone in ["cache[", "gmemo["] {
+            assert!(!s.contains(gone), "{gone} must not be displayed: {s}");
         }
     }
 }

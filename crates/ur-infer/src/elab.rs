@@ -240,7 +240,7 @@ impl Elaborator {
     }
 
     /// Captures the elaborator's full persistent state — global env,
-    /// checking context (metas, stats, fuel, memo), scope stack, and the
+    /// checking context (metas, stats, fuel), scope stack, and the
     /// elaborated-declaration count — so an unwanted batch can be rolled
     /// back as if it never ran. Transient state (constraints,
     /// folder holes) is empty at declaration boundaries and needs no
@@ -256,7 +256,7 @@ impl Elaborator {
 
     /// Restores a [`snapshot`](Self::snapshot), discarding everything a
     /// failed attempt may have recorded (env bindings, meta solutions,
-    /// memo entries, pushed declarations).
+    /// pushed declarations).
     pub fn restore(&mut self, snap: ElabSnapshot) {
         self.genv = snap.genv;
         self.cx = snap.cx;
@@ -1147,7 +1147,7 @@ impl Elaborator {
         let name_h = hnf(env, &mut self.cx, name);
         for (key, v) in &nf.fields {
             let hit = match (&*name_h, key) {
-                (Con::Name(n), FieldKey::Lit(m)) => ur_core::intern::names_eq(n, m),
+                (Con::Name(n), FieldKey::Lit(m)) => n == m,
                 (_, FieldKey::Neutral(k)) => {
                     let k = *k;
                     ur_core::defeq::defeq(env, &mut self.cx, &name_h, &k)
@@ -1219,7 +1219,7 @@ impl Elaborator {
         for (key, v) in &nf.source_fields {
             let hit = !removed
                 && match (&**name, key) {
-                    (Con::Name(n), FieldKey::Lit(m)) => ur_core::intern::names_eq(n, m),
+                    (Con::Name(n), FieldKey::Lit(m)) => n == m,
                     (_, FieldKey::Neutral(k)) => {
                         let k = *k;
                         ur_core::defeq::defeq(env, &mut self.cx, name, &k)
@@ -1246,7 +1246,7 @@ impl Elaborator {
             for (key, v) in &nf.source_fields {
                 let hit = !found
                     && match (&*name_h, key) {
-                        (Con::Name(n), FieldKey::Lit(m)) => ur_core::intern::names_eq(n, m),
+                        (Con::Name(n), FieldKey::Lit(m)) => n == m,
                         (_, FieldKey::Neutral(k)) => {
                             let k = *k;
                             ur_core::defeq::defeq(env, &mut self.cx, &name_h, &k)

@@ -69,8 +69,8 @@ pub struct ServeConfig {
     pub max_conns: usize,
     /// Per-client (peer IP) connection cap.
     pub max_conns_per_client: usize,
-    /// Default per-request wall-clock budget (a request's own
-    /// `deadline_ms` can only tighten it).
+    /// Per-request wall-clock budget, counted from admission (a
+    /// request's own `deadline_ms` can only tighten its fuel ceiling).
     pub deadline_ms: u64,
     /// Watchdog patience increment (see [`server::patience_ms`]).
     pub watchdog_ms: u64,

@@ -17,8 +17,8 @@
 //! {"cmd":"shutdown"}                                  drain the server
 //! ```
 //!
-//! `deadline_ms` caps the request's wall-clock budget; the remaining
-//! budget is converted to a fuel ceiling
+//! `deadline_ms` caps the request's remaining wall-clock budget before
+//! it is converted to a fuel ceiling
 //! ([`ur_core::limits::Limits::for_deadline_ms`]) so an over-budget
 //! elaboration degrades to a structured E0900 diagnostic instead of
 //! wedging its worker. Overload and failure answers are structured too

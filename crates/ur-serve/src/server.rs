@@ -12,10 +12,13 @@
 //!   sheds the *request*, never buffers it); draining sheds everything
 //!   new. Nothing in the front door buffers without bound.
 //! - **Deadlines.** Each request carries an absolute deadline fixed at
-//!   admission (`min(server default, request's deadline_ms)`). Workers
-//!   convert the remaining budget into a fuel ceiling, so over-budget
-//!   work degrades to a structured E0900 diagnostic; requests that
-//!   expire in the queue get `deadline_expired` answers.
+//!   admission from the server's `deadline_ms`; requests that expire in
+//!   the queue get `deadline_expired` answers. Workers convert the
+//!   remaining budget, capped by the request's own `deadline_ms`, into a
+//!   fuel ceiling, so over-budget work degrades to a structured E0900
+//!   diagnostic. A request's own deadline is a step budget only: were it
+//!   also a queue deadline, a tiny one would expire in the queue or not
+//!   depending on machine load.
 //! - **Watchdog + supervision.** The handler waits [`patience_ms`] for
 //!   a reply (escalating once on retry). A timeout or a dead queue
 //!   means the worker wedged or died: the handler reports it
@@ -355,10 +358,6 @@ fn serve_conn(pool: &Arc<Pool>, conn: u64, stream: &TcpStream) {
             );
             return;
         }
-        let deadline_ms = req
-            .get("deadline_ms")
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .map_or(cfg.deadline_ms, |d| d.min(cfg.deadline_ms));
         // Replay safety: a rebuild is idempotent (restore + replay);
         // everything stateless is trivially replayable; eval against the
         // shared durable store is the one case where the lost attempt
@@ -372,7 +371,7 @@ fn serve_conn(pool: &Arc<Pool>, conn: u64, stream: &TcpStream) {
             req.get("cmd").map(String::as_str),
             Some("type") | Some("diagnostics") | Some("stats") | Some("db")
         );
-        let resp = shepherd(pool, conn, &line, deadline_ms, replayable, read_only);
+        let resp = shepherd(pool, conn, &line, replayable, read_only);
         if failpoint::fire(Site::ServeWrite) {
             // Injected write failure after execution: effects (if any)
             // are applied but the ack is lost — the acked-vs-applied
@@ -392,7 +391,6 @@ fn shepherd(
     pool: &Arc<Pool>,
     conn: u64,
     line: &str,
-    deadline_ms: u64,
     replayable: bool,
     read_only: bool,
 ) -> String {
@@ -400,7 +398,7 @@ fn shepherd(
     let mut attempt: u32 = 0;
     loop {
         let (wid, gen, tx) = pool.handle_for_routed(conn, read_only);
-        let deadline = Instant::now() + Duration::from_millis(deadline_ms);
+        let deadline = Instant::now() + Duration::from_millis(cfg.deadline_ms);
         let (reply_tx, reply_rx) = sync_channel::<String>(1);
         match tx.try_send(Job::Request {
             conn,

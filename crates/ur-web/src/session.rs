@@ -668,8 +668,8 @@ impl Session {
         let reps = reps.max(1);
         match self.engine {
             // The production path: the chunk, the shared globals, and
-            // one interpreter (whose normalization and resolution memos
-            // warm up on the first iteration) all live across the loop —
+            // one interpreter (whose resolution memo warms up on the
+            // first iteration) all live across the loop —
             // exactly what a server holding a session pays per request.
             EvalEngine::Vm => {
                 let chunk = self.chunk_for(&ee, "<bench>");
@@ -805,7 +805,7 @@ impl Session {
     }
 
     /// Restores the session to a previous [`Session::snapshot`]: env,
-    /// folder cache, memo tables, stats, database, debug log, and
+    /// folder cache, stats, database, debug log, and
     /// top-level values all return to the captured point.
     pub fn rollback(&mut self, snap: SessionSnapshot) {
         self.elab.restore(snap.elab);
@@ -1287,7 +1287,7 @@ mod recovery_tests {
     /// bindings, database tables, debug output, and stats — even when
     /// the batch partially failed, leaving the session bit-identical to
     /// its pre-batch state. Two batches: plain values, and a record
-    /// metaprogram whose elaboration fills the memo tables.
+    /// metaprogram whose elaboration solves metavariables.
     #[test]
     fn snapshot_rollback_restores_env_db_and_stats() {
         let mut sess = Session::new().unwrap();

@@ -6,7 +6,7 @@
 //!
 //! Enter expressions to evaluate them, declarations (`val`/`fun`/`type`/
 //! `con`) to extend the session, `:t e` for the type of an expression,
-//! `:stats` for the Figure-5 counters plus the memo-cache, intern-table,
+//! `:stats` for the Figure-5 counters plus the intern-table, arena,
 //! and eval-engine columns, `:db` for the database report (tables,
 //! WAL, durability counters), and `:quit` to exit. With `--db-dir DIR`
 //! the session's database effects go through the crash-safe WAL +

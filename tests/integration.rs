@@ -48,6 +48,42 @@ fn figure5_shape_holds() {
     assert!(versioned.stats.law_map_fusion >= 1);
 }
 
+/// Golden Figure-5 counters: (Disj., Id., Dist., Fuse) per component, in
+/// table order. Every normalization replays its rewrites, so Dist. counts
+/// each distributivity rewrite the elaborator performs.
+#[test]
+fn figure5_counts_are_pinned() {
+    let golden: [(&str, [u64; 4]); 11] = [
+        ("folders", [9, 0, 2, 0]),
+        ("mktable", [18, 0, 8, 0]),
+        ("todb", [7, 0, 7, 1]),
+        ("selector", [23, 0, 1, 0]),
+        ("orm", [16, 0, 8, 0]),
+        ("orm_links", [9, 0, 8, 0]),
+        ("versioned", [64, 0, 19, 2]),
+        ("admin", [30, 0, 21, 0]),
+        ("admin2", [21, 0, 11, 0]),
+        ("spreadsheet", [39, 0, 24, 0]),
+        ("spreadsheet_sql", [40, 12, 31, 22]),
+    ];
+    let measured: Vec<(&str, [u64; 4])> = studies()
+        .iter()
+        .map(|s| {
+            let st = run_study(s).unwrap_or_else(|e| panic!("study {} failed: {e}", s.id)).stats;
+            let counts = [
+                st.disjoint_prover_calls,
+                st.law_map_identity,
+                st.law_map_distrib,
+                st.law_map_fusion,
+            ];
+            (s.id, counts)
+        })
+        .collect();
+    assert_eq!(measured, golden);
+    let total_disj: u64 = golden.iter().map(|(_, c)| c[0]).sum();
+    assert_eq!(total_disj, 276);
+}
+
 #[test]
 fn swap_without_retyping_is_rejected() {
     // {a = x.b, b = x.a} has type $([a = u] ++ [b = t]); annotating the

@@ -1,31 +1,26 @@
-//! Hash-consing and memoization properties: the interned core
-//! ([`ur::core::intern`]) and the judgment memo tables
-//! ([`ur::core::memo`]).
+//! Hash-consing properties of the interned core ([`ur::core::arena`]),
+//! plus the judgment behaviours that sit closest to it.
 //!
-//! Three layers of guarantees are pinned down here:
+//! Two layers of guarantees are pinned down here:
 //!
 //! 1. **Interning soundness/completeness** — structurally identical closed
-//!    constructors built independently intern to the *same* node (pointer
-//!    equality), and equal intern ids always imply definitional equality.
-//! 2. **Memo transparency** — every memoized judgment (`hnf`, `defeq`,
-//!    `normalize_row`, `prove`) returns the same answers with the memo
-//!    tables enabled and disabled, on random inputs and on the adversarial
-//!    fuel-exhaustion shapes.
-//! 3. **End-to-end transparency** — the Figure-5 case studies elaborate to
-//!    identical results with caching on and off, and the cached run
-//!    actually hits the tables.
+//!    constructors built independently intern to the *same* node (handle
+//!    equality), and equal handles always imply definitional equality.
+//! 2. **Judgments over shared terms** — `defeq` tracks the metavariable
+//!    solution state, the deep near-miss chain trips the same budget
+//!    every time, and a wide disjointness goal asked repeatedly gets the
+//!    same verdict with every call counted.
 //!
 //! Randomness comes from the deterministic [`ur_testutil::Rng`]; every
 //! test fixes its seed, so failures reproduce exactly.
 
+use ur::core::arena::ConId;
 use ur::core::con::{Con, RCon};
 use ur::core::defeq::defeq;
 use ur::core::disjoint::prove;
 use ur::core::env::Env;
-use ur::core::intern;
 use ur::core::kind::Kind;
 use ur::core::prelude::Cx;
-use ur::core::row::{canon_con, normalize_row};
 use ur::core::sym::Sym;
 use ur_testutil::Rng;
 
@@ -66,16 +61,6 @@ fn gen_closed(rng: &mut Rng, depth: u32) -> RCon {
     }
 }
 
-/// A random literal row with distinct field names (0..6 fields).
-fn lit_row(rng: &mut Rng) -> Vec<(String, RCon)> {
-    let n = rng.below(6);
-    let mut m = std::collections::BTreeMap::new();
-    for _ in 0..n {
-        m.insert(rng.pick(NAME_POOL).to_string(), prim_type(rng));
-    }
-    m.into_iter().collect()
-}
-
 fn to_row(fields: &[(String, RCon)]) -> RCon {
     Con::row_of(
         Kind::Type,
@@ -86,34 +71,12 @@ fn to_row(fields: &[(String, RCon)]) -> RCon {
     )
 }
 
-fn random_assoc(fields: &[(String, RCon)], shape: u64) -> RCon {
-    if fields.is_empty() {
-        return Con::row_nil(Kind::Type);
-    }
-    if fields.len() == 1 {
-        return to_row(fields);
-    }
-    let mid = 1 + (shape as usize % (fields.len() - 1));
-    Con::row_cat(
-        random_assoc(&fields[..mid], shape / 2),
-        random_assoc(&fields[mid..], shape / 3 + 1),
-    )
-}
-
-/// A `Cx` with the memo tables switched off (interning still applies —
-/// it is global and semantics-free).
-fn uncached_cx() -> Cx {
-    let mut cx = Cx::new();
-    cx.memo.enabled = false;
-    cx
-}
-
 // ---------------------------------------------------------------------
 // 1. Interning: structural sharing and id-equality soundness.
 // ---------------------------------------------------------------------
 
 /// Independently built, structurally identical closed terms intern to
-/// one shared node: handles are pointer-equal and carry one `ConId`.
+/// one shared node: both builds return the same `ConId`.
 #[test]
 fn identical_builds_share_one_node() {
     for seed in 0..CASES as u64 {
@@ -122,12 +85,11 @@ fn identical_builds_share_one_node() {
         let a = gen_closed(&mut r1, 4);
         let b = gen_closed(&mut r2, 4);
         assert!(a == b, "hash-consing must share: {a} vs {b}");
-        assert_eq!(intern::id_of(&a), intern::id_of(&b));
     }
 }
 
-/// Equal intern ids imply definitional equality (id equality is syntactic
-/// equality, which is finer than defeq).
+/// Equal handles imply definitional equality (handle equality is
+/// syntactic equality, which is finer than defeq).
 #[test]
 fn id_equality_implies_defeq() {
     let mut rng = Rng::new(0x1A7E_1000);
@@ -136,7 +98,7 @@ fn id_equality_implies_defeq() {
         let b = gen_closed(&mut rng, 4);
         let env = Env::new();
         let mut cx = Cx::new();
-        if intern::id_of(&a) == intern::id_of(&b) {
+        if a == b {
             assert!(defeq(&env, &mut cx, &a, &b));
         }
         // Reflexivity is O(1) under hash-consing but must still hold.
@@ -144,7 +106,7 @@ fn id_equality_implies_defeq() {
     }
 }
 
-/// Name literals are interned: equal labels share one `Rc<str>`.
+/// Name literals are interned: equal labels share one `IStr`.
 #[test]
 fn name_literals_are_pointer_shared() {
     let a = Con::name("SharedLabel");
@@ -164,11 +126,11 @@ fn generated_closed_terms_are_flagged_closed() {
     let mut rng = Rng::new(0x1A7E_2000);
     for _ in 0..CASES {
         let c = gen_closed(&mut rng, 4);
-        assert!(intern::flags_of(&c).is_closed(), "{c} must be closed");
+        assert!(c.flags().is_closed(), "{c} must be closed");
     }
     // And a term with a variable is not.
     let v = Con::var(&Sym::fresh("x"));
-    assert!(!intern::flags_of(&Con::arrow(v, Con::int())).is_closed());
+    assert!(!Con::arrow(v, Con::int()).flags().is_closed());
 }
 
 /// 8-thread intern hammer: every thread races to build the *same*
@@ -191,13 +153,13 @@ fn hammer_concurrent_interning_agrees_across_threads() {
                 (0..ROUNDS)
                     .map(|seed| {
                         let mut rng = Rng::new(0x4A44_0000 + seed);
-                        intern::id_of(&gen_closed(&mut rng, 4))
+                        gen_closed(&mut rng, 4)
                     })
                     .collect::<Vec<_>>()
             })
         })
         .collect();
-    let per_thread: Vec<Vec<intern::ConId>> = handles
+    let per_thread: Vec<Vec<ConId>> = handles
         .into_iter()
         .map(|h| h.join().expect("hammer thread must not panic"))
         .collect();
@@ -209,7 +171,7 @@ fn hammer_concurrent_interning_agrees_across_threads() {
     }
 
     // Uniqueness: one id never names two structurally distinct terms.
-    let mut seen: std::collections::HashMap<intern::ConId, String> =
+    let mut seen: std::collections::HashMap<ConId, String> =
         std::collections::HashMap::new();
     for (seed, id) in per_thread[0].iter().enumerate() {
         let mut rng = Rng::new(0x4A44_0000 + seed as u64);
@@ -223,133 +185,33 @@ fn hammer_concurrent_interning_agrees_across_threads() {
     // threaded, warm table) reproduces every id.
     for (seed, id) in per_thread[0].iter().enumerate() {
         let mut rng = Rng::new(0x4A44_0000 + seed as u64);
-        assert_eq!(intern::id_of(&gen_closed(&mut rng, 4)), *id);
+        assert_eq!(gen_closed(&mut rng, 4), *id);
     }
 }
 
 // ---------------------------------------------------------------------
-// 2. Memo transparency on random inputs.
+// 2. Judgments over shared terms.
 // ---------------------------------------------------------------------
 
-/// `defeq` answers agree between cached and uncached runs, and repeated
-/// cached queries (which hit the table) agree with the first answer.
+/// `defeq` sees a metavariable solved after an earlier `false` answer:
+/// the verdict tracks the solution state, never a stale one.
 #[test]
-fn defeq_memo_agrees_with_uncached() {
-    let mut rng = Rng::new(0x3E30_0001);
-    let env = Env::new();
-    let mut cached = Cx::new();
-    for _ in 0..CASES {
-        let fields = lit_row(&mut rng);
-        let (s1, s2) = (rng.next_u64(), rng.next_u64());
-        let t1 = random_assoc(&fields, s1);
-        let t2 = random_assoc(&lit_row(&mut rng), s2);
-        let mut uncached = uncached_cx();
-        let plain = defeq(&env, &mut uncached, &t1, &t2);
-        let first = defeq(&env, &mut cached, &t1, &t2);
-        let second = defeq(&env, &mut cached, &t1, &t2);
-        assert_eq!(plain, first, "cached vs uncached on {t1} = {t2}");
-        assert_eq!(first, second, "cache replay on {t1} = {t2}");
-    }
-    assert!(
-        cached.stats.defeq_memo_hits > 0,
-        "repeat queries must hit: {}",
-        cached.stats
-    );
-}
-
-/// Row normalization produces the same canonical form with and without
-/// the memo table.
-#[test]
-fn row_memo_agrees_with_uncached() {
-    let mut rng = Rng::new(0x3E30_0002);
-    let env = Env::new();
-    let mut cached = Cx::new();
-    for _ in 0..CASES {
-        let fields = lit_row(&mut rng);
-        let t = random_assoc(&fields, rng.next_u64());
-        let mut uncached = uncached_cx();
-        let plain = normalize_row(&env, &mut uncached, &t);
-        let first = normalize_row(&env, &mut cached, &t);
-        let second = normalize_row(&env, &mut cached, &t);
-        assert_eq!(canon_con(&plain.to_con()), canon_con(&first.to_con()));
-        assert_eq!(canon_con(&first.to_con()), canon_con(&second.to_con()));
-    }
-    assert!(cached.stats.row_memo_hits > 0, "{}", cached.stats);
-}
-
-/// Disjointness verdicts agree between cached and uncached runs.
-#[test]
-fn disjoint_memo_agrees_with_uncached() {
-    let mut rng = Rng::new(0x3E30_0003);
-    let env = Env::new();
-    let mut cached = Cx::new();
-    for _ in 0..CASES {
-        let r1 = to_row(&lit_row(&mut rng));
-        let r2 = to_row(&lit_row(&mut rng));
-        let mut uncached = uncached_cx();
-        let plain = prove(&env, &mut uncached, &r1, &r2);
-        let first = prove(&env, &mut cached, &r1, &r2);
-        // The key is an unordered pair: the flipped query must hit too.
-        let flipped = prove(&env, &mut cached, &r2, &r1);
-        assert_eq!(plain, first, "cached vs uncached on {r1} ~ {r2}");
-        assert_eq!(first, flipped, "symmetry of the verdict cache");
-    }
-    assert!(cached.stats.disjoint_memo_hits > 0, "{}", cached.stats);
-}
-
-/// `hnf` agrees between cached and uncached runs on reducible terms.
-#[test]
-fn hnf_memo_agrees_with_uncached() {
-    let mut rng = Rng::new(0x3E30_0004);
-    let env = Env::new();
-    let mut cached = Cx::new();
-    for _ in 0..CASES {
-        // (fn a => a -> a) T, plus projections of pairs: all reducible.
-        let t = gen_closed(&mut rng, 3);
-        let a = Sym::fresh("a");
-        let f = Con::lam(a, Kind::Type, Con::arrow(Con::var(&a), Con::var(&a)));
-        let redex = match rng.below(3) {
-            0 => Con::app(f, t),
-            1 => Con::fst(Con::pair(t, Con::int())),
-            _ => Con::snd(Con::pair(Con::int(), t)),
-        };
-        let mut uncached = uncached_cx();
-        let plain = ur::core::hnf::hnf(&env, &mut uncached, &redex);
-        let first = ur::core::hnf::hnf(&env, &mut cached, &redex);
-        let second = ur::core::hnf::hnf(&env, &mut cached, &redex);
-        // Hash-consing makes syntactic equality pointer equality.
-        assert!(plain == first, "{plain} vs {first}");
-        assert!(first == second);
-    }
-    assert!(cached.stats.hnf_memo_hits > 0, "{}", cached.stats);
-}
-
-/// Solving a metavariable invalidates earlier meta-dependent entries:
-/// the memoized answer tracks the solution state, never a stale verdict.
-#[test]
-fn meta_solution_invalidates_stale_entries() {
+fn defeq_sees_a_meta_solved_after_a_false_answer() {
     let env = Env::new();
     let mut cx = Cx::new();
     let m = cx.metas.fresh_con(Kind::Type, "t");
     // ?t vs int: not equal while unsolved...
     assert!(!defeq(&env, &mut cx, &m, &Con::int()));
-    // ...then ?t := int makes the same query true; a stale cache entry
-    // would keep answering false.
-    let ur::core::con::Con::Meta(id) = &*m else {
-        unreachable!()
-    };
+    // ...then ?t := int makes the same query true.
+    let Con::Meta(id) = &*m else { unreachable!() };
     cx.metas.solve(*id, Con::int());
     assert!(defeq(&env, &mut cx, &m, &Con::int()));
 }
 
-// ---------------------------------------------------------------------
-// 3. Memo transparency on the adversarial fuel-exhaustion shapes.
-// ---------------------------------------------------------------------
-
-/// The deep near-miss arrow chain answers the same conservative `false`
-/// with the memo on and off, and trips the same budget.
+/// The deep near-miss arrow chain answers the conservative `false` and
+/// trips the same budget on two independent runs.
 #[test]
-fn adversarial_deep_defeq_same_with_and_without_memo() {
+fn adversarial_deep_defeq_trips_the_same_budget_twice() {
     let deep = |leaf: RCon, n: usize| {
         let mut c = leaf;
         for _ in 0..n {
@@ -358,20 +220,21 @@ fn adversarial_deep_defeq_same_with_and_without_memo() {
         c
     };
     let env = Env::new();
-    let mut verdicts = Vec::new();
-    for enabled in [true, false] {
-        let mut cx = Cx::new();
-        cx.memo.enabled = enabled;
-        let (a, b) = (deep(Con::int(), 10_000), deep(Con::float(), 10_000));
-        let eq = defeq(&env, &mut cx, &a, &b);
-        verdicts.push((eq, cx.fuel.exhausted()));
-    }
-    assert_eq!(verdicts[0], verdicts[1], "memo must be transparent");
+    let verdicts: Vec<_> = (0..2)
+        .map(|_| {
+            let mut cx = Cx::new();
+            let (a, b) = (deep(Con::int(), 10_000), deep(Con::float(), 10_000));
+            let eq = defeq(&env, &mut cx, &a, &b);
+            (eq, cx.fuel.exhausted())
+        })
+        .collect();
+    assert_eq!(verdicts[0], verdicts[1], "the budget is counted in steps");
     assert!(!verdicts[0].0);
+    assert!(verdicts[0].1.is_some(), "10,000 levels must exhaust the budget");
 }
 
-/// Repeated wide-row disjointness queries agree across cached runs even
-/// under heavy reuse (the same pair asked many times).
+/// Repeated wide-row disjointness queries (the same pair asked many
+/// times) get the same verdict, and every call counts for Figure 5.
 #[test]
 fn repeated_wide_disjoint_queries_are_stable() {
     let fields: Vec<(String, RCon)> = (0..64)
@@ -388,96 +251,5 @@ fn repeated_wide_disjoint_queries_are_stable() {
         assert_eq!(prove(&env, &mut cx, &r1, &r2), first);
     }
     assert_eq!(first, ur::core::disjoint::ProveResult::Proved);
-    assert!(cx.stats.disjoint_memo_hits >= 100);
-    // Figure-5 counter semantics: every call counts, hit or miss.
     assert_eq!(cx.stats.disjoint_prover_calls, 101);
-}
-
-// ---------------------------------------------------------------------
-// 4. End-to-end: Figure-5 case studies, cached vs uncached.
-// ---------------------------------------------------------------------
-
-/// Loads every §6 case study into two sessions — memo tables on and off —
-/// and checks that elaboration produces identical declarations and the
-/// usage demos identical values, while the cached run actually hits the
-/// hnf/defeq/disjointness tables (an acceptance criterion of the
-/// interning work).
-#[test]
-fn studies_elaborate_identically_cached_and_uncached() {
-    let (mut hnf_hits, mut defeq_hits, mut disjoint_hits) = (0, 0, 0);
-    for s in ur::studies::studies() {
-        let cached = run_study_with_memo(&s, true);
-        let uncached = run_study_with_memo(&s, false);
-        assert_eq!(
-            cached.0, uncached.0,
-            "study {} must produce identical usage values",
-            s.id
-        );
-        assert_eq!(
-            cached.1, uncached.1,
-            "study {} must elaborate identical declaration types",
-            s.id
-        );
-        hnf_hits += cached.2.hnf_memo_hits;
-        defeq_hits += cached.2.defeq_memo_hits;
-        disjoint_hits += cached.2.disjoint_memo_hits;
-    }
-    assert!(hnf_hits > 0);
-    assert!(defeq_hits > 0);
-    assert!(disjoint_hits > 0);
-}
-
-/// Runs a study (dependencies, implementation, usage demo) in a fresh
-/// session with the memo tables forced on or off. Returns the usage
-/// values, the
-/// pretty-printed types of all elaborated declarations, and the
-/// session's final stats.
-fn run_study_with_memo(
-    s: &ur::studies::Study,
-    enabled: bool,
-) -> (Vec<(String, String)>, Vec<String>, ur::core::stats::Stats) {
-    fn load(sess: &mut ur::Session, src: &str, what: &str) -> Vec<(String, ur::Value)> {
-        let (vals, diags) = sess.run_all(src);
-        assert!(diags.is_empty(), "{what} must load cleanly: {diags:?}");
-        vals
-    }
-    fn load_deps(sess: &mut ur::Session, s: &ur::studies::Study) {
-        for dep in s.deps {
-            let d = ur::studies::study(dep);
-            load_deps(sess, &d);
-            load(sess, d.implementation(), d.id);
-        }
-    }
-    let mut sess = ur::Session::new().expect("session");
-    sess.elab.cx.memo.enabled = enabled;
-    load_deps(&mut sess, s);
-    load(&mut sess, s.implementation(), s.id);
-    let values: Vec<(String, String)> = load(&mut sess, s.usage, "usage")
-        .into_iter()
-        .map(|(n, v)| (n, v.to_string()))
-        .collect();
-    let types: Vec<String> = sess
-        .elab
-        .decls
-        .iter()
-        .map(|d| strip_sym_ids(&format!("{d:?}")))
-        .collect();
-    (values, types, sess.elab.cx.stats.clone())
-}
-
-/// Erases gensym counters (`foo#123` -> `foo#`) so that two sessions run
-/// back to back — which draw different fresh-symbol numbers from the
-/// process-global counter — compare structurally.
-fn strip_sym_ids(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars().peekable();
-    while let Some(c) = chars.next() {
-        out.push(c);
-        if c == '#' {
-            while chars.peek().is_some_and(|d| d.is_ascii_digit()) {
-                chars.next();
-            }
-        }
-    }
-    out
 }
