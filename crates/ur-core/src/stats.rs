@@ -238,6 +238,8 @@ impl Stats {
                 .db_snapshot_reads
                 .saturating_sub(earlier.db_snapshot_reads),
             db_versions_gcd: self.db_versions_gcd.saturating_sub(earlier.db_versions_gcd),
+            // Every live counter is listed above; only the inert fields
+            // are left at zero.
             ..Stats::default()
         }
     }
